@@ -38,7 +38,11 @@ from repro.engine.operators.scan import (
     scan_pages,
 )
 from repro.engine.operators.writers import tempfile_writer
-from repro.network.messages import DataPacket, EndOfStream
+from repro.network.messages import (
+    DataPacket,
+    EndOfStream,
+    eos_overshoot,
+)
 from repro.storage.files import PagedFile
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -342,12 +346,15 @@ class HashJoinRound:
             batch_cpu = constant_page_cost(receive_update, tuple_build)
         mon = machine.monitor
         eos_remaining = n_producers
-        while eos_remaining > 0:
+        while eos_remaining:
             message = yield mailbox.get()
             yield from cpu_res_use(
                 sc_cost if message.src_node == node_id else recv_cost)
             if type(message) is EndOfStream:
-                eos_remaining -= 1
+                eos_remaining -= message.closes
+                if eos_remaining < 0:
+                    raise eos_overshoot(port, node_id, message,
+                                        eos_remaining)
                 continue
             assert type(message) is DataPacket, message
             if mon is not None:
@@ -553,12 +560,15 @@ class HashJoinRound:
         recv_cost = costs.packet_protocol_receive
         mon = machine.monitor
         eos_remaining = n_producers
-        while eos_remaining > 0:
+        while eos_remaining:
             message = yield mailbox.get()
             yield from cpu_res_use(
                 sc_cost if message.src_node == node_id else recv_cost)
             if type(message) is EndOfStream:
-                eos_remaining -= 1
+                eos_remaining -= message.closes
+                if eos_remaining < 0:
+                    raise eos_overshoot(port, node_id, message,
+                                        eos_remaining)
                 continue
             assert type(message) is DataPacket, message
             if mon is not None:

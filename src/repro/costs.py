@@ -98,6 +98,12 @@ class CostModel:
     #: Per-hop forwarding latency of a hypercube link — only charged
     #: by the ``hypercube`` interconnect topology.
     hop_latency: float = 0.0001
+    #: Arity of the combining tree that terminates a stream fanning out
+    #: to more consumers than this (DESIGN.md §14).  0 keeps Gamma's
+    #: flat rule at every fan-out — each producer sends an
+    #: end-of-stream to each consumer (§2.2) — which is what the paper
+    #: measured, so ``gamma-1989`` leaves it at 0.
+    eos_tree_arity: int = 0
 
     # ---------------------------------------------------------------- memory
     #: Main memory per processor in bytes (2 MB on the VAX 11/750
@@ -155,6 +161,12 @@ class CostModel:
     #: per site minus overhead gives the paper's 1 973 bits/site at 8
     #: sites).
     filter_overhead_bits_per_site: int = 75
+
+    def __post_init__(self) -> None:
+        if self.eos_tree_arity < 0 or self.eos_tree_arity == 1:
+            raise ValueError(
+                f"eos_tree_arity must be 0 (flat end-of-stream) or >= 2, "
+                f"got {self.eos_tree_arity}")
 
     # -------------------------------------------------------------- derived
     def packet_wire_time(self, payload_bytes: int | None = None) -> float:
@@ -238,6 +250,9 @@ DEFAULT_COSTS = CostModel()
 #:   *ratios* between them (scan vs build vs result composition) are
 #:   preserved.  This is exactly the CPU/interconnect rebalancing
 #:   that inverts several 1989 conclusions.
+#: * **Termination** — streams wider than 8 consumers close through
+#:   an 8-ary combining tree, as a cluster runtime's barrier /
+#:   reduce-broadcast collective would, not with N² datagrams.
 #: * **Memory** — 4 GiB of joining memory per node, and a 64 KB bit
 #:   filter packet (the 2 KB filter was sized to one ring packet).
 MODERN_2018 = CostModel(
@@ -256,6 +271,7 @@ MODERN_2018 = CostModel(
     operator_startup=0.000020,
     switch_port_cost=0.000001,
     hop_latency=0.0000005,
+    eos_tree_arity=8,
     memory_per_node=4 * 1024 ** 3,
     tuple_scan=0.00000125,
     tuple_hash=0.00000038,

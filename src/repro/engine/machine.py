@@ -23,6 +23,9 @@ from repro.network import NetworkService, PortRegistry
 from repro.network.topology import build_interconnect, resolve_topology_name
 from repro.sim import Simulator
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.operators.routing import StreamGroup
+
 
 class MachineConfig(enum.Enum):
     """Where join operators execute (§4's two configurations)."""
@@ -78,6 +81,9 @@ class GammaMachine:
             self.disk_nodes + self.diskless_nodes + [self.scheduler_node])
         self.network.attach_cpus([n.cpu for n in self.nodes])
         self._port_counter = 0
+        #: The streams that close through a combining tree, by port
+        #: (how the routers of one port find their tree neighbours).
+        self.stream_groups: "dict[str, StreamGroup]" = {}
 
         # Data-plane instrumentation (imported lazily: repro.core pulls
         # in the join drivers, which import this module).

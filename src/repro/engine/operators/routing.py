@@ -4,10 +4,15 @@ A producing operator looks up each tuple's destination in its split
 table and copies the tuple into a per-destination output buffer; when
 a buffer fills one ring packet it is transmitted.  :class:`Router`
 implements that buffering plus the end-of-stream protocol: closing the
-router flushes every partial packet and sends one
+router flushes every partial packet and then terminates the stream.
+Under Gamma's flat rule (§2.2) that is one
 :class:`~repro.network.messages.EndOfStream` to *every* consumer —
 consumers terminate after hearing from each producer, so the EOS must
-flow even to consumers that received no data.
+flow even to consumers that received no data.  On a hardware profile
+with an ``eos_tree_arity``, a stream wider than the arity instead
+closes through a combining tree over the port's producers
+(:mod:`repro.network.combining`, DESIGN.md §14): each consumer hears
+one marker that accounts for every producer.
 
 CPU accounting: ``give`` is called at tuple rate, so it does no
 simulated work itself.  Callers accumulate per-tuple CPU (hash, move,
@@ -21,7 +26,12 @@ from __future__ import annotations
 import typing
 
 from repro.engine.node import Node
-from repro.network.messages import DataPacket, EndOfStream
+from repro.network.combining import CombiningTree, engages
+from repro.network.messages import (
+    DataPacket,
+    EndOfStream,
+    StreamTerminationError,
+)
 from repro.network.ring import TokenRing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,6 +39,50 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Row = typing.Tuple
 _BufferKey = typing.Tuple[int, typing.Optional[int]]
+
+
+class StreamGroup:
+    """The producers that feed one port, as its combining tree sees
+    them.
+
+    Routers join as the phase's driver constructs them (join order is
+    heap order in the tree); the first ``close`` seals the membership,
+    because from then on tree neighbours are fixed.  Only node ids are
+    kept, so a finished phase's routers are not held alive."""
+
+    def __init__(self, port: str, consumers: list[Node],
+                 arity: int) -> None:
+        self.port = port
+        self.consumers = consumers
+        self.arity = arity
+        #: Producer node id by rank.
+        self.producers: list[int] = []
+        self.tree: CombiningTree | None = None
+
+    def join(self, router: "Router") -> int:
+        """Add ``router``; returns its rank in the tree."""
+        if self.tree is not None:
+            problem = "termination already began"
+        elif router.consumers != self.consumers:
+            problem = "its consumers differ from its peers'"
+        else:
+            self.producers.append(router.src_node.node_id)
+            return len(self.producers) - 1
+        node = router.src_node.node_id
+        raise StreamTerminationError(
+            f"router cannot join the port's combining tree: {problem}",
+            port=self.port, node=node, producer=node,
+            deltas={"peers": len(self.producers)})
+
+    def seal(self) -> CombiningTree:
+        if self.tree is None:
+            self.tree = CombiningTree(len(self.producers),
+                                      len(self.consumers), self.arity)
+        return self.tree
+
+    def inbox_port(self, rank: int) -> str:
+        """Port of the mailbox tree neighbours of ``rank`` write to."""
+        return f"{self.port}.eos{rank}"
 
 
 class Router:
@@ -83,6 +137,16 @@ class Router:
         self._sc_cost = costs.packet_shortcircuit
         self._send_cost = costs.packet_protocol_send
         self._packet_size = costs.packet_size
+        #: Set when this stream is wide enough to terminate through
+        #: the profile's combining tree; None means the flat rule.
+        self._group: StreamGroup | None = None
+        if engages(costs.eos_tree_arity, len(self.consumers)):
+            group = machine.stream_groups.get(port)
+            if group is None:
+                group = machine.stream_groups[port] = StreamGroup(
+                    port, self.consumers, costs.eos_tree_arity)
+            self._group = group
+            self._rank = group.join(self)
         monitor = machine.monitor
         if monitor is not None:
             monitor.register_router(self)
@@ -228,8 +292,7 @@ class Router:
         make_packet = DataPacket.make
         ring = self._ring
         packet_size = self._packet_size
-        while ready:
-            (dst_node_id, bucket), rows, hashes = ready.pop(0)
+        for (dst_node_id, bucket), rows, hashes in ready:
             n = len(rows)
             payload = n * tuple_bytes
             packet = make_packet(src, rows, hashes, payload, bucket)
@@ -256,17 +319,19 @@ class Router:
                 mailbox = mailboxes[dst_node_id] = self._mailbox(
                     dst_node_id, self.port)
             mailbox.put(packet)
+        ready.clear()
 
     def close(self) -> typing.Generator:
-        """Flush all partial packets and send EOS to every consumer.
+        """Flush all partial packets and terminate the stream: an EOS
+        to every consumer (the flat rule), or this router's part in
+        the port's combining tree.
 
-        The EOS fan-out inlines :meth:`NetworkService.send` for the
+        The flat fan-out inlines :meth:`NetworkService.send` for the
         :class:`EndOfStream` case the same way :meth:`flush_ready`
         inlines the data-packet case — identical stats, charges and
-        event order, two fewer generator frames per consumer.  Every
-        producer closes one stream per consumer, so at N nodes a join
-        fans out O(N²) of these; collapsing the frames is the
-        control-plane half of the compiled-backend speedup
+        event order, two fewer generator frames per consumer.  It is
+        the only termination ``gamma-1989`` has, O(N²) of these per
+        port, so the frames are worth ~10 % of a 256-node ring run
         (DESIGN.md §15).
         """
         if self.closed:
@@ -288,6 +353,9 @@ class Router:
         self._buffers.clear()
         self._buffers0.clear()
         self.closed = True
+        if self._group is not None:
+            yield from self._close_combined(self._group)
+            return
         src = self.src_node.node_id
         eos = EndOfStream(src_node=src)
         stats = self._stats
@@ -302,6 +370,7 @@ class Router:
         for consumer in self.consumers:
             dst_node_id = consumer.node_id
             stats.control_messages += 1
+            stats.eos_messages += 1
             if dst_node_id == src:
                 stats.control_messages_shortcircuited += 1
                 yield from cpu_use(self._sc_cost)
@@ -319,6 +388,51 @@ class Router:
                 mailbox = mailboxes[dst_node_id] = self._mailbox(
                     dst_node_id, port)
             mailbox.put(eos)
+
+    def _close_combined(self, group: StreamGroup) -> typing.Generator:
+        """This producer's part in the port's combining tree.
+
+        Runs after the last data packet is in its consumer's mailbox,
+        so by the time the root has heard from every producer no data
+        is in flight, and a consumer's (FIFO) mailbox holds the single
+        combined EOS behind everything it was sent.  Every leg is an
+        ordinary datagram — sender CPU, wire, receiver CPU — and there
+        are O(N) of them per port, so they take the general
+        ``NetworkService.send`` path rather than an inlined one.
+        """
+        tree = group.seal()
+        rank = self._rank
+        src = self.src_node.node_id
+        network = self.machine.network
+        send = network.send
+        inbox = self._mailbox(src, group.inbox_port(rank))
+        children = tree.children(rank)
+        closes = 1
+        for _child in children:
+            report = yield inbox.get()
+            yield from network.receive_charge(src, report)
+            closes += report.closes
+        parent = tree.parent(rank)
+        if parent is not None:
+            yield from send(src, group.producers[parent],
+                            group.inbox_port(parent),
+                            EndOfStream(src, closes))
+            release = yield inbox.get()
+            yield from network.receive_charge(src, release)
+            closes = release.closes
+        if closes != tree.n_producers:
+            raise StreamTerminationError(
+                "combining tree did not account for every producer",
+                port=self.port, node=src, producer=src,
+                deltas={"closes": closes,
+                        "producers": tree.n_producers})
+        release = EndOfStream(src, closes)
+        for child in children:
+            yield from send(src, group.producers[child],
+                            group.inbox_port(child), release)
+        for index in tree.owned(rank):
+            yield from send(src, self.consumers[index].node_id,
+                            self.port, release)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Router {self.port!r} from {self.src_node.name} "

@@ -20,7 +20,11 @@ import dataclasses
 import typing
 
 from repro.engine.node import Node
-from repro.network.messages import DataPacket, EndOfStream
+from repro.network.messages import (
+    DataPacket,
+    EndOfStream,
+    eos_overshoot,
+)
 from repro.storage.files import PagedFile
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,12 +108,14 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
     mailbox = machine.registry.mailbox(node.node_id, port)
     mon = machine.monitor
     eos_remaining = n_producers
-    while eos_remaining > 0:
+    while eos_remaining:
         message = yield mailbox.get()
         yield from cpu_res_use(
             sc_cost if message.src_node == node_id else recv_cost)
         if type(message) is EndOfStream:
-            eos_remaining -= 1
+            eos_remaining -= message.closes
+            if eos_remaining < 0:
+                raise eos_overshoot(port, node_id, message, eos_remaining)
             continue
         assert type(message) is DataPacket, message
         if mon is not None:

@@ -88,8 +88,8 @@ def _kernel_summary(outcome) -> str | None:
             continue
         points += 1
         for key, value in point.kernel_counters.items():
-            if key.startswith("dp_"):
-                continue  # reported by _dataplane_summary
+            if key.startswith(("dp_", "net_")):
+                continue  # reported by the data-plane / network lines
             if isinstance(value, str):
                 # Mode labels (e.g. sched_mode, be_engine) aggregate as
                 # the set of distinct values, not a sum.
@@ -145,6 +145,24 @@ def _dataplane_summary(outcome) -> str | None:
             f"(scalar fallback={scalar_packets})  "
             f"hash-cache hit rate={rate(hits, misses)} "
             f"({hits}/{hits + misses})")
+
+
+def _network_summary(outcome) -> str | None:
+    """Control traffic and the end-of-stream share of it (profile
+    mode): the O(N^2) flat fan-out versus the O(N) combining tree is
+    read off this line."""
+    control = eos = points = 0
+    for point in _iter_sweep_points(outcome):
+        if point.kernel_counters is None:
+            continue
+        points += 1
+        control += point.kernel_counters["net_control_messages"]
+        eos += point.kernel_counters["net_eos_messages"]
+    if not points:
+        return None
+    share = f"{eos / control:.1%}" if control else "n/a"
+    return (f"## network ({points} points): control messages={control}  "
+            f"end-of-stream={eos} ({share})")
 
 
 def _audit_summary(outcome) -> str | None:
@@ -240,9 +258,10 @@ def run_experiment(name: str, config: ExperimentConfig,
         summary = _kernel_summary(outcome)
         if summary:
             text += "\n\n" + summary
-        dataplane = _dataplane_summary(outcome)
-        if dataplane:
-            text += "\n\n" + dataplane
+        for summarize in (_dataplane_summary, _network_summary):
+            line = summarize(outcome)
+            if line:
+                text += "\n\n" + line
         stream = io.StringIO()
         pstats.Stats(profiler, stream=stream).sort_stats(
             "tottime").print_stats(15)

@@ -155,7 +155,11 @@ def run_sweep_point(config: ExperimentConfig, db: WisconsinDatabase,
                       response_time=result.response_time,
                       result=result if keep_result else None,
                       kernel_counters=({**machine.sim.kernel_counters(),
-                                        **machine.dataplane_counters()}
+                                        **machine.dataplane_counters(),
+                                        "net_control_messages":
+                                            result.network.control_messages,
+                                        "net_eos_messages":
+                                            result.network.eos_messages}
                                        if config.profile else None),
                       audit_sites=(machine.sim.auditor.site_counts()
                                    if machine.sim.auditor is not None

@@ -34,9 +34,10 @@ and render as a markdown report:
 The headline finding this instrument exists to measure: on
 ``gamma-1989`` + ``token-ring`` the shared medium and per-node
 scheduler rounds erase speedup well before 64 nodes (the 1989
-conclusion), while ``modern-2018`` + ``fabric`` keeps speeding up
-until the O(N^2) end-of-stream protocol — not the interconnect —
-becomes the ceiling.
+conclusion), and by 256 nodes Gamma's flat O(N^2) end-of-stream rule
+is most of the response time; ``modern-2018`` + ``fabric`` closes wide
+streams through a combining tree (O(N) messages), so what caps it is
+the scheduler's serial per-operator start/done round.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from repro.experiments.runner import (
 )
 from repro.network.topology import resolve_topology_name
 
-#: Cluster sizes of the default sweep.  256 is where the O(N^2)
-#: end-of-stream protocol starts to dominate even the fabric; 1024
-#: (minutes of wall time) is opt-in via ``--nodes``.
+#: Cluster sizes of the default sweep.  256 is where the flat O(N^2)
+#: end-of-stream rule (``gamma-1989``) dominates everything else; 1024
+#: is opt-in via ``--nodes`` — seconds per join on a profile with a
+#: combining tree, minutes on the flat rule.
 DEFAULT_NODES = (8, 64, 256)
 #: Relation-scale multipliers of the default sizeup sweep (1-100x the
 #: base scale).
@@ -187,6 +189,10 @@ def _run_grid(config: ScaleoutConfig
                 "memory_ratio": ratio,
                 "response_time": point.response_time,
                 "phases": _phase_breakdown(point),
+                # Control traffic, and how much of it is stream
+                # termination (flat rule: grows as N^2; tree: as N).
+                "control_messages": point.result.network.control_messages,
+                "eos_messages": point.result.network.eos_messages,
             }
             for algorithm, point in zip(config.algorithms, points)}
     return grid
@@ -298,6 +304,12 @@ def render_markdown(sample: dict) -> str:
             f"scale={record['scale']:g} ratio="
             f"{record['memory_ratio']:.3f} "
             f"T={record['response_time']:.3f}s: {phases}")
+        if "eos_messages" in record:
+            control = record["control_messages"]
+            eos = record["eos_messages"]
+            lines.append(
+                f"  control messages={control}  end-of-stream={eos} "
+                f"({eos / control if control else 0.0:.1%})")
     return "\n".join(lines) + "\n"
 
 

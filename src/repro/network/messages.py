@@ -10,13 +10,18 @@ Three kinds of traffic flow between operator processes:
   cutoff propagation.
 * :class:`EndOfStream` — the end-of-stream marker a producing operator
   sends to each consumer when it closes its output streams (§2.2);
-  consumers terminate after hearing from every producer.
+  consumers terminate once the markers they have heard account for
+  every producer.  Under the flat rule each marker closes one stream;
+  the combining tree (:mod:`repro.network.combining`) delivers one
+  marker that closes them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
+
+from repro.sim.engine import SimulationError
 
 Row = typing.Tuple
 
@@ -71,9 +76,38 @@ class DataPacket:
 
 @dataclasses.dataclass(frozen=True)
 class EndOfStream:
-    """Producer ``src_node`` has closed its output stream."""
+    """``closes`` producer streams have closed; sent by ``src_node``."""
 
     src_node: int
+    #: Producer streams this marker accounts for: 1 under the flat
+    #: rule; on the combining tree a subtree's count on the way up and
+    #: the port's whole producer set on the way down and out.
+    closes: int = 1
+
+
+class StreamTerminationError(SimulationError):
+    """End-of-stream markers on a port do not add up to its producers."""
+
+    def __init__(self, message: str, *, port: str, node: int,
+                 producer: int, deltas: dict[str, int]) -> None:
+        self.port = port
+        self.node = node
+        self.producer = producer
+        self.deltas = deltas
+        super().__init__(
+            f"{message} (port {port!r}, node {node}, marker from "
+            f"producer node {producer}, {deltas})")
+
+
+def eos_overshoot(port: str, node: int, message: EndOfStream,
+                  remaining: int) -> StreamTerminationError:
+    """The error a consumer raises when ``message`` took its count of
+    open producer streams to ``remaining`` < 0."""
+    return StreamTerminationError(
+        "end-of-stream closes more producer streams than were open",
+        port=port, node=node, producer=message.src_node,
+        deltas={"closes": message.closes,
+                "open_before": remaining + message.closes})
 
 
 @dataclasses.dataclass(frozen=True)

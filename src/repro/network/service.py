@@ -20,7 +20,12 @@ import dataclasses
 import typing
 
 from repro.costs import CostModel
-from repro.network.messages import ControlMessage, DataPacket, Message
+from repro.network.messages import (
+    ControlMessage,
+    DataPacket,
+    EndOfStream,
+    Message,
+)
 from repro.network.ports import PortRegistry
 from repro.network.ring import TokenRing
 from repro.sim import Resource, Simulator
@@ -37,6 +42,9 @@ class NetworkStats:
     data_bytes: int = 0
     control_messages: int = 0
     control_messages_shortcircuited: int = 0
+    #: The end-of-stream markers among ``control_messages`` (stream
+    #: termination traffic: flat fan-out or combining tree).
+    eos_messages: int = 0
 
     def snapshot(self) -> "NetworkStats":
         return dataclasses.replace(self)
@@ -57,6 +65,7 @@ class NetworkStats:
             control_messages_shortcircuited=(
                 self.control_messages_shortcircuited
                 - earlier.control_messages_shortcircuited),
+            eos_messages=self.eos_messages - earlier.eos_messages,
         )
 
     @property
@@ -120,6 +129,8 @@ class NetworkService:
             self.stats.control_messages += 1
             if local:
                 self.stats.control_messages_shortcircuited += 1
+            if mtype is EndOfStream:
+                self.stats.eos_messages += 1
             payload = getattr(message, "payload_bytes", 64)
         send_cost = (self.costs.packet_shortcircuit if local
                      else self.costs.packet_protocol_send)

@@ -34,7 +34,7 @@ node counts from the machine shape; the routed topologies break the
 shared-medium lower bound and are explicitly out of
 scope).  Within scope the model tracks the
 simulator to within :data:`REL_TOLERANCE` of each phase (plus
-:data:`ABS_TOLERANCE` seconds of floor for sub-second phases) — the
+:func:`abs_tolerance` seconds of floor for sub-second phases) — the
 band is calibrated in ``tests/verify/test_analytic.py`` and breached
 predictions raise :class:`~repro.verify.ConformanceError`.
 """
@@ -46,7 +46,8 @@ import math
 import typing
 
 from repro.core.split_table import SPLIT_ENTRY_BYTES
-from repro.costs import CostModel
+from repro.costs import DEFAULT_COSTS, CostModel
+from repro.network.combining import CombiningTree, engages
 from repro.verify import ConformanceError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,9 +62,23 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: worst-case whole-query error of 3.3%; the band is set at roughly
 #: twice the observed worst case.
 REL_TOLERANCE = 0.20
-#: Absolute floor (seconds) — protects sub-second phases, whose
-#: durations are dominated by per-message scheduling granularity.
+#: Absolute floor (seconds) on ``gamma-1989`` — protects sub-second
+#: phases, whose durations are dominated by per-message scheduling
+#: granularity.  Other profiles get :func:`abs_tolerance`.
 ABS_TOLERANCE = 0.25
+
+
+def abs_tolerance(costs: CostModel) -> float:
+    """The absolute floor for ``costs``: :data:`ABS_TOLERANCE` scaled
+    by the profile's per-message protocol cost relative to the
+    calibration profile's, so the floor stays a handful of messages
+    wide (exactly 0.25 s on ``gamma-1989``, ~60 µs on ``modern-2018``)
+    instead of swallowing a fast profile's whole phases."""
+    per_message = (costs.packet_protocol_send
+                   + costs.packet_protocol_receive)
+    calibrated = (DEFAULT_COSTS.packet_protocol_send
+                  + DEFAULT_COSTS.packet_protocol_receive)
+    return ABS_TOLERANCE * (per_message / calibrated)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,19 +253,54 @@ class AnalyticModel:
                           + (1.0 - local_fraction)
                           * costs.packet_protocol_receive)
 
-    def _eos(self, n_consumers: int, self_among: bool) -> float:
-        """Sender CPU for one router's close (EOS to every consumer)."""
-        costs = self.costs
-        if self_among and n_consumers > 0:
-            return (costs.packet_shortcircuit
-                    + (n_consumers - 1) * costs.packet_protocol_send)
-        return n_consumers * costs.packet_protocol_send
+    def _eos(self, n_producers: int, n_consumers: int,
+             self_among: bool) -> float:
+        """Busiest producer's CPU for closing one of a port's
+        ``n_producers`` routers.
 
-    def _wire(self, packets: float, payload: float,
+        Flat rule: an EOS to every consumer.  Combining tree (when the
+        profile's arity engages at this fan-out): an interior producer
+        receives its children's reports and sends one up, receives the
+        release and sends it to its children, then sends the combined
+        EOS to its share of the consumers."""
+        costs = self.costs
+        send = costs.packet_protocol_send
+        if n_consumers <= 0:
+            return 0.0
+        tree_cpu = 0.0
+        markers = n_consumers
+        if engages(costs.eos_tree_arity, n_consumers):
+            tree = CombiningTree(n_producers, n_consumers,
+                                 costs.eos_tree_arity)
+            hop = send + costs.packet_protocol_receive
+            # Only a tree of height >= 2 has a producer with both a
+            # parent and a full set of children.
+            tree_cpu = (len(tree.children(0)) * hop
+                        + (hop if tree.height >= 2 else 0.0))
+            markers = math.ceil(n_consumers / n_producers)
+        if self_among:
+            return (tree_cpu + costs.packet_shortcircuit
+                    + (markers - 1) * send)
+        return tree_cpu + markers * send
+
+    def _eos_drain(self, n_producers: int, n_consumers: int,
+                   local_fraction: float, self_among: bool) -> float:
+        """One consumer's CPU for draining a port's end-of-stream
+        markers: one per producer under the flat rule (of which
+        ``local_fraction`` short-circuit), a single combined one from
+        the owning producer on the tree."""
+        if engages(self.costs.eos_tree_arity, n_consumers):
+            return self._recv_cpu(1.0, 1.0 if self_among else 0.0)
+        return self._recv_cpu(n_producers, local_fraction)
+
+    def _wire(self, n_tuples: float, tuple_bytes: int,
               local_fraction: float) -> float:
-        """Ring time of ``packets`` remote packets of ``payload``
-        bytes each."""
-        return (packets * (1.0 - local_fraction) * payload
+        """Ring time of ``n_tuples`` routed tuples of which
+        ``local_fraction`` short-circuit.  A packet occupies the ring
+        for the tuples it carries, not for its capacity, so sparse
+        streams (one result tuple per packet on a wide cluster) cost
+        their bytes and no more."""
+        return (n_tuples * (1.0 - local_fraction) * tuple_bytes
                 / self.costs.ring_bandwidth)
 
     def _spool_hosts(self) -> int:
@@ -293,7 +343,7 @@ class AnalyticModel:
             n_prod * (costs.tuple_scan + costs.tuple_hash
                       + costs.tuple_move)
             + self._send_cpu(pkts_prod, data_local)
-            + self._eos(J, self_among=local))
+            + self._eos(D, J, self_among=local))
         n_site = n_build / J
         pkts_site = pkts_prod * D / J
         eos_local = (1.0 / D) if local else 0.0
@@ -301,12 +351,11 @@ class AnalyticModel:
             self._recv_cpu(pkts_site, data_local)
             + n_site * (costs.tuple_receive + costs.histogram_update
                         + costs.tuple_build)
-            + self._recv_cpu(D, eos_local)         # EOS from D scanners
-            + self._eos(1, self_among=local))       # own R' router close
+            + self._eos_drain(D, J, eos_local, local)  # scanners' EOS
+            + self._eos(1, 1, self_among=local))    # own R' router close
         load.cons_cpu = self._recv_cpu(
             1.0, 1.0 if local else 0.0)             # R' writer EOS drain
-        payload = min(self.tpk_r * self.w.inner_bytes, costs.packet_size)
-        load.ring = self._wire(pkts_prod * D, payload, data_local)
+        load.ring = self._wire(n_build, self.w.inner_bytes, data_local)
         return load
 
     def round_probe(self, label: str, n_probe: float, n_match: float,
@@ -338,8 +387,8 @@ class AnalyticModel:
             n_prod * (costs.tuple_scan + costs.tuple_hash
                       + costs.tuple_move)
             + self._send_cpu(pkts_prod, data_local)
-            + self._eos(J, self_among=local)        # probe router
-            + self._eos(hosts, self_among=local))   # spool router (empty)
+            + self._eos(D, J, self_among=local)     # probe router
+            + self._eos(D, hosts, self_among=local))  # spool router (empty)
         n_site = n_probe / J
         match_site = n_match / J
         pkts_site = pkts_prod * D / J
@@ -351,8 +400,8 @@ class AnalyticModel:
             + n_site * (costs.tuple_receive + costs.tuple_probe)
             + match_site * (costs.tuple_result + costs.tuple_move)
             + self._send_cpu(store_pkts, store_local)
-            + self._recv_cpu(D, eos_local)          # EOS from scanners
-            + self._eos(D, self_among=local))       # store router close
+            + self._eos_drain(D, J, eos_local, local)  # scanners' EOS
+            + self._eos(J, D, self_among=local))    # store router close
         # Store writers and S' writers (disk nodes).
         n_store = n_match / D
         store_in = store_pkts * J / D
@@ -360,15 +409,12 @@ class AnalyticModel:
         load.cons_cpu = (
             self._recv_cpu(store_in, store_recv_local)
             + n_store * costs.tuple_store
-            + self._recv_cpu(J, store_recv_local)   # store EOS
-            + self._recv_cpu(D, eos_local))         # spool EOS drain
+            + self._eos_drain(J, D, store_recv_local, local)  # store EOS
+            + self._eos_drain(D, hosts, eos_local, local))    # spool EOS
         load.cons_disk = (n_store / self.tpp_res) \
             * costs.disk_page_write_sequential
-        payload_s = min(self.tpk_s * self.w.outer_bytes, costs.packet_size)
-        payload_res = min(self.tpk_res * self.result_bytes,
-                          costs.packet_size)
-        load.ring = (self._wire(pkts_prod * D, payload_s, data_local)
-                     + self._wire(store_pkts * J, payload_res,
+        load.ring = (self._wire(n_probe, self.w.outer_bytes, data_local)
+                     + self._wire(n_match, self.result_bytes,
                                   store_local))
         return load
 
@@ -411,17 +457,16 @@ class AnalyticModel:
             n_prod * (costs.tuple_scan + costs.tuple_hash
                       + costs.tuple_move)
             + self._send_cpu(pkts_prod, data_local)
-            + self._eos(D, self_among=True))
+            + self._eos(D, D, self_among=True))
         n_cons = n_tuples / D
         load.cons_cpu = (
             self._recv_cpu(pkts_prod, data_local)
             + n_cons * costs.tuple_store
-            + self._recv_cpu(D, 1.0 / D))           # EOS from D scanners
+            + self._eos_drain(D, D, 1.0 / D, True))  # scanners' EOS
         load.cons_disk = (num_buckets
                           * _pages(n_cons / num_buckets, tpp)
                           * costs.disk_page_write_sequential)
-        payload = min(tpk * tuple_bytes, costs.packet_size)
-        load.ring = self._wire(pkts_prod * D, payload, data_local)
+        load.ring = self._wire(n_tuples, tuple_bytes, data_local)
         return load
 
     # -- sort-merge specific phases ---------------------------------------
@@ -464,15 +509,14 @@ class AnalyticModel:
             + match * (costs.sort_compare + costs.tuple_result
                        + costs.tuple_move)
             + self._send_cpu(store_pkts, 1.0 / D)
-            + self._eos(D, self_among=True))
+            + self._eos(D, D, self_among=True))
         load.cons_cpu = (
             self._recv_cpu(store_pkts, 1.0 / D)
             + match * costs.tuple_store
-            + self._recv_cpu(D, 1.0 / D))
+            + self._eos_drain(D, D, 1.0 / D, True))
         load.cons_disk = (match / self.tpp_res) \
             * costs.disk_page_write_sequential
-        payload = min(self.tpk_res * self.result_bytes, costs.packet_size)
-        load.ring = self._wire(store_pkts * D, payload, 1.0 / D)
+        load.ring = self._wire(n_match, self.result_bytes, 1.0 / D)
         return _estimate("sort-merge.merge", load, True, overhead)
 
     # -- per-algorithm phase sequences -------------------------------------
@@ -680,19 +724,22 @@ def model_for(machine: "GammaMachine", db: "WisconsinDatabase",
 
 def assess(machine: "GammaMachine", db: "WisconsinDatabase",
            result: "JoinResult", *, rel_tol: float = REL_TOLERANCE,
-           abs_tol: float = ABS_TOLERANCE,
+           abs_tol: float | None = None,
            check: bool = False) -> dict | None:
     """Compare a simulated result against the analytic predictions.
 
     Returns a picklable report: per-phase simulated vs predicted
     durations with relative deltas, plus the whole-query comparison.
-    ``None`` when the execution is outside the model's scope.  With
-    ``check=True`` a phase outside the tolerance band raises
+    ``None`` when the execution is outside the model's scope.
+    ``abs_tol`` defaults to :func:`abs_tolerance` of the machine's
+    cost model.  With ``check=True`` a phase outside the tolerance band raises
     :class:`ConformanceError`.
     """
     model = model_for(machine, db, result)
     if model is None:
         return None
+    if abs_tol is None:
+        abs_tol = abs_tolerance(machine.costs)
     estimates = model.predict(result.algorithm)
     simulated = {}
     for stat in result.phases:

@@ -135,7 +135,8 @@ def make_router(capacity: int) -> Router:
     costs = types.SimpleNamespace(
         tuples_per_packet=lambda tuple_bytes: capacity,
         packet_shortcircuit=0.0, packet_protocol_send=0.0,
-        packet_size=8192, packet_wire_time=lambda b: 0.0)
+        packet_size=8192, packet_wire_time=lambda b: 0.0,
+        eos_tree_arity=0)
     machine = types.SimpleNamespace(
         costs=costs,
         network=types.SimpleNamespace(

@@ -6,14 +6,16 @@ monotone-speedup gate), the analytic model's parameterization on
 cluster size and hardware profile, the (profile, topology)-keyed
 database cache under ``--jobs`` interleaving, and the degenerate
 cluster shapes the scale-out sweeps can reach (1 node; more nodes
-than hash buckets; 1024 nodes behind ``REPRO_SLOW=1``).
+than hash buckets; 1024 nodes), and pins the recorded scale-out points
+of ``BENCH_scaleout.json``: ``gamma-1989`` bit for bit, ``modern-2018``
+never slower.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
+import pathlib
 
 import pytest
 
@@ -344,13 +346,10 @@ class TestDegenerateConfigs:
             assert point.result.result_tuples \
                 == db.expected_result_tuples
 
-    @pytest.mark.skipif(
-        not os.environ.get("REPRO_SLOW"),
-        reason="1024-node smoke takes minutes; set REPRO_SLOW=1 "
-               "(CI runs it in the scaleout job)")
     def test_1024_node_smoke(self, monkeypatch):
         """All four algorithms at reduced scale on a 1024-node
-        modern fabric, invariants armed."""
+        modern fabric, invariants armed (seconds, now that wide
+        streams close through the combining tree)."""
         monkeypatch.setenv("REPRO_VERIFY", "1")
         config = ExperimentConfig(
             scale=0.05, seed=1, num_disk_nodes=1024,
@@ -360,3 +359,54 @@ class TestDegenerateConfigs:
             point = run_sweep_point(config, db, algorithm, 1.0,
                                     keep_result=False)
             assert point.response_time > 0, algorithm
+
+
+# ---------------------------------------------------------------------------
+# Satellite: the recorded scale-out points
+# ---------------------------------------------------------------------------
+
+def _recorded(label: str) -> "dict[tuple[int, str], float]":
+    """(nodes, algorithm) -> response time of the speedup sweep of one
+    ``BENCH_scaleout.json`` sample."""
+    path = pathlib.Path(__file__).parents[2] / "BENCH_scaleout.json"
+    sample = next(s for s in json.loads(path.read_text())["samples"]
+                  if s["label"] == label)
+    return {(entry["nodes"], algorithm): entry["response_time"]
+            for algorithm, entries in sample["curves"]["speedup"].items()
+            for entry in entries}
+
+
+def _simulate(profile: str, topology: str, nodes: int
+              ) -> "dict[str, float]":
+    config = ExperimentConfig(scale=0.1, seed=1, num_disk_nodes=nodes,
+                              hardware_profile=profile,
+                              topology=topology)
+    db = sweep_database(config, True)
+    return {algorithm: run_sweep_point(config, db, algorithm, 1.0,
+                                       keep_result=False).response_time
+            for algorithm in ALL_ALGORITHMS}
+
+
+class TestRecordedPoints:
+    def test_gamma_ring_64_nodes_is_bit_identical(self):
+        """``gamma-1989`` keeps Gamma's flat end-of-stream rule at every
+        fan-out, so the PR 9 recording still holds to the last bit."""
+        recorded = _recorded("pr9-scaleout-gamma-1989-token-ring")
+        for algorithm, seconds in _simulate(
+                "gamma-1989", "token-ring", 64).items():
+            assert repr(seconds) == repr(recorded[(64, algorithm)]), \
+                algorithm
+
+    @pytest.mark.parametrize("nodes", (8, 64, 256))
+    def test_modern_fabric_is_never_slower(self, nodes):
+        """The combining tree may only take simulated time off the
+        PR 9 recording; at 8 nodes (fan-out == arity) the stream stays
+        flat and the time is unchanged."""
+        recorded = _recorded("pr9-scaleout-modern-2018-fabric")
+        for algorithm, seconds in _simulate(
+                "modern-2018", "fabric", nodes).items():
+            before = recorded[(nodes, algorithm)]
+            if nodes == 8:
+                assert repr(seconds) == repr(before), algorithm
+            else:
+                assert seconds < before, algorithm
