@@ -1,8 +1,8 @@
 """Columnar relation pages (the ``REPRO_COLUMNAR`` representation).
 
-A :class:`ColumnPage` stores a batch of tuples as per-attribute columns
-— ``int64`` numpy arrays for the thirteen Wisconsin integer attributes,
-a constant-value marker for the default non-materialized string
+A :class:`ColumnPage` stores a batch of tuples column-wise — every
+``int64`` attribute as one row of a single ``(k, n)`` numpy matrix, a
+constant-value marker for the default non-materialized string
 attributes — instead of a list of Python tuples.  The page is a
 faithful ``Sequence[Row]``: ``len``, indexing (including negative
 indices and slices), and iteration all behave exactly like the
@@ -12,8 +12,8 @@ always built-in ``int``/``str`` (never numpy scalars), so every
 downstream consumer — ``hashing.hash_value``, dict keys, sort
 tiebreaks — sees bit-identical values to the tuple-list path.
 
-Slicing returns a zero-copy view (numpy slice views share the parent's
-buffers); :meth:`take` gathers arbitrary row subsets.  Pages also carry
+Slicing returns a zero-copy view (one 2-D numpy slice of the parent's
+matrix); :meth:`take` gathers arbitrary row subsets.  Pages also carry
 a join-key hash-column cache keyed by ``(key_index, level, family)``
 — the columnar replacement for the machine-wide id()-keyed
 ``hashing.KeyHashMemo``, with the advantage that the cache travels
@@ -57,23 +57,68 @@ class ConstColumn:
         return f"ConstColumn({self.value!r})"
 
 
+class _Layout:
+    """Which tuple positions of a page are block rows, constants, or
+    object columns.  Immutable, and shared by reference between a page
+    and every slice or gather of it."""
+
+    __slots__ = ("width", "kinds", "consts", "obj_pos", "tail")
+
+    def __init__(self, kinds: typing.Sequence) -> None:
+        #: Per tuple position: ``int`` r — row r of the block;
+        #: :class:`ConstColumn` — that constant; None — the next
+        #: per-page object column.  Block rows and object columns are
+        #: numbered in ascending tuple position.
+        self.kinds = tuple(kinds)
+        self.width = len(self.kinds)
+        self.consts = tuple((j, kind.value)
+                            for j, kind in enumerate(self.kinds)
+                            if type(kind) is ConstColumn)
+        self.obj_pos = tuple(j for j, kind in enumerate(self.kinds)
+                             if kind is None)
+        #: The constant values closing every row when the layout is
+        #: the Wisconsin shape — block rows first, constants after, no
+        #: object column — else None.
+        first_const = self.width - len(self.consts)
+        self.tail = (
+            tuple(value for _, value in self.consts)
+            if all(type(kind) is int for kind in self.kinds[:first_const])
+            else None)
+
+    def matches(self, other: "_Layout") -> bool:
+        """Same positions of the same kinds, equal constants?"""
+        return other is self or (
+            other.width == self.width
+            and other.obj_pos == self.obj_pos
+            and other.consts == self.consts)
+
+
 class ColumnPage:
     """A columnar batch of rows with tuple-list ``Sequence`` semantics.
 
     Columns come in three kinds:
 
-    * ``numpy.ndarray`` (int64) — integer attributes; the hot kind.
+    * ``int64`` — integer attributes; the hot kind.  All of a page's
+      integer columns are the rows of one ``(k, n)`` matrix, so each
+      stays a contiguous 1-D array while a slice, gather or
+      concatenation of the page is a single numpy call.
     * :class:`ConstColumn` — every row holds the same value.
     * ``list`` — arbitrary per-row objects (materialized strings,
       exotic test rows); a compatibility fallback, never produced by
       the Wisconsin generator's default configuration.
     """
 
-    __slots__ = ("_n", "_cols", "_hash_cache")
+    __slots__ = ("_n", "_block", "_layout", "_objs", "_hash_cache")
 
-    def __init__(self, n: int, cols: typing.Sequence) -> None:
+    def __init__(self, n: int, block: Array, layout: _Layout,
+                 objs: tuple = ()) -> None:
         self._n = n
-        self._cols = tuple(cols)
+        #: (k, n) int64; row r is the tuple position whose
+        #: ``layout.kinds`` entry is r.
+        self._block = block
+        self._layout = layout
+        #: One list per ``layout.obj_pos`` entry.
+        self._objs = objs
         #: (key_index, level, family) -> (uint64 ndarray, list[int]).
         self._hash_cache: dict = {}
 
@@ -82,8 +127,10 @@ class ColumnPage:
     @classmethod
     def from_columns(cls, cols: typing.Sequence, n: int | None = None
                      ) -> "ColumnPage":
-        """Build a page from ready-made columns (validated lengths)."""
-        cols = tuple(cols)
+        """Build a page from ready-made columns (validated lengths):
+        integer ndarrays, :class:`ConstColumn` markers, or lists."""
+        cols = [col.tolist() if isinstance(col, np.ndarray)
+                and not _fits_block(col) else col for col in cols]
         if n is None:
             n = 0
             for col in cols:
@@ -94,46 +141,87 @@ class ColumnPage:
             if not isinstance(col, ConstColumn) and len(col) != n:
                 raise ValueError(
                     f"column length {len(col)} != page length {n}")
-        return cls(n, cols)
+        ints: list = []
+        objs: list = []
+        kinds: list = []
+        for col in cols:
+            if isinstance(col, np.ndarray):
+                kinds.append(len(ints))
+                ints.append(col)
+            elif isinstance(col, ConstColumn):
+                kinds.append(col)
+            else:
+                kinds.append(None)
+                objs.append(col if isinstance(col, list) else list(col))
+        block = np.empty((len(ints), n), dtype=np.int64)
+        for r, col in enumerate(ints):
+            block[r] = col
+        return cls(n, block, _Layout(kinds), tuple(objs))
+
+    @classmethod
+    def from_block(cls, block: Array,
+                   tail: typing.Sequence[ConstColumn] = ()
+                   ) -> "ColumnPage":
+        """Adopt a ready ``(k, n)`` C-contiguous int64 matrix, without
+        copying, as tuple positions ``0..k-1``, followed by the
+        constant columns ``tail`` (the Wisconsin shape)."""
+        if (block.ndim != 2 or block.dtype != np.int64
+                or not block.flags.c_contiguous):
+            raise ValueError(
+                "from_block needs a C-contiguous 2-D int64 array, got "
+                f"{block.dtype} with shape {block.shape}")
+        return cls(block.shape[1], block,
+                   _Layout([*range(block.shape[0]), *tail]))
 
     @classmethod
     def from_rows(cls, rows: typing.Sequence[Row],
                   width: int | None = None) -> "ColumnPage":
         """Columnarize a tuple list (tests, conversion fallbacks)."""
         rows = rows if isinstance(rows, list) else list(rows)
-        n = len(rows)
-        if n == 0:
-            return cls(0, tuple([] for _ in range(width or 0)))
-        cols = []
-        for j in range(len(rows[0])):
-            values = [row[j] for row in rows]
-            cols.append(_build_column(values))
-        return cls(n, tuple(cols))
+        if not rows:
+            return cls.from_columns([[] for _ in range(width or 0)], n=0)
+        return cls.from_columns(
+            [_build_column([row[j] for row in rows])
+             for j in range(len(rows[0]))], n=len(rows))
 
     @staticmethod
     def concat(pages: typing.Sequence["ColumnPage"]) -> "ColumnPage":
         """Concatenate pages row-wise (multi-file scan sources)."""
-        pages = [p for p in pages if len(p)]
+        pages = [p for p in pages if p._n]
         if not pages:
-            return ColumnPage(0, ())
+            return ColumnPage.from_columns(())
         if len(pages) == 1:
             return pages[0]
         first = pages[0]
-        n = sum(len(p) for p in pages)
-        cols = []
-        for j in range(len(first._cols)):
-            parts = [p._cols[j] for p in pages]
-            if all(isinstance(c, np.ndarray) for c in parts):
-                cols.append(np.concatenate(parts))
-            elif (all(isinstance(c, ConstColumn) for c in parts)
-                  and all(c.value == parts[0].value for c in parts)):
-                cols.append(parts[0])
+        layout = first._layout
+        n = sum([p._n for p in pages])
+        if not layout.obj_pos and all(
+                [layout.matches(p._layout) for p in pages]):
+            return ColumnPage(
+                n, np.concatenate([p._block for p in pages], axis=1),
+                layout)
+        # Layouts differ (constant vs materialized strings, object
+        # columns): merge position by position.
+        for page in pages:
+            if page.width != first.width:
+                raise ValueError(
+                    f"cannot concatenate a page of width {page.width} "
+                    f"to one of width {first.width}")
+        cols: list = []
+        for j in range(first.width):
+            kinds = [p._layout.kinds[j] for p in pages]
+            if all(type(kind) is int for kind in kinds):
+                cols.append(np.concatenate(
+                    [p._block[kind] for p, kind in zip(pages, kinds)]))
+            elif (all(type(kind) is ConstColumn for kind in kinds)
+                  and all(kind.value == kinds[0].value for kind in kinds)):
+                cols.append(kinds[0])
             else:
                 merged: list = []
-                for page, part in zip(pages, parts):
-                    merged.extend(_column_values(part, len(page)))
+                for page in pages:
+                    merged.extend(page.column_values(j))
                 cols.append(merged)
-        return ColumnPage(n, tuple(cols))
+        return ColumnPage.from_columns(cols, n=n)
 
     # -- Sequence protocol ---------------------------------------------------
 
@@ -143,26 +231,43 @@ class ColumnPage:
     def __getitem__(self, item):
         if isinstance(item, slice):
             start, stop, step = item.indices(self._n)
-            if step == 1:
-                return self._slice_view(start, stop)
-            return self.take(list(range(start, stop, step)))
+            if step != 1:
+                return self.take(list(range(start, stop, step)))
+            return self.cut(start, stop if stop > start else start)
         i = item
         if i < 0:
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(f"row {item} out of range for {self._n}")
+        values = self._block[:, i].tolist()
+        layout = self._layout
+        if layout.tail is not None:
+            return tuple(values) + layout.tail
+        objects = iter(self._objs)
         return tuple([
-            col.item(i) if type(col) is np.ndarray
-            else (col.value if type(col) is ConstColumn else col[i])
-            for col in self._cols])
+            values[kind] if type(kind) is int
+            else (kind.value if kind is not None else next(objects)[i])
+            for kind in layout.kinds])
 
     def __iter__(self) -> typing.Iterator[Row]:
-        if not self._cols:
-            return iter([()] * self._n)
-        return zip(*[_column_iter(col, self._n) for col in self._cols])
+        n = self._n
+        layout = self._layout
+        if not layout.width:
+            return iter([()] * n)
+        tail = layout.tail
+        if tail is not None:
+            return iter([tuple(row) + tail
+                         for row in self._block.T.tolist()])
+        ints = self._block.tolist()
+        objects = iter(self._objs)
+        return zip(*[
+            ints[kind] if type(kind) is int
+            else (itertools.repeat(kind.value, n) if kind is not None
+                  else next(objects))
+            for kind in layout.kinds])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ColumnPage n={self._n} width={len(self._cols)}>"
+        return f"<ColumnPage n={self._n} width={self._layout.width}>"
 
     def __eq__(self, other: object) -> bool:
         """Row-value equality, like the tuple list it replaces.
@@ -175,17 +280,10 @@ class ColumnPage:
         if isinstance(other, ColumnPage):
             if other._n != self._n or other.width != self.width:
                 return False
-            for j, (a, b) in enumerate(zip(self._cols, other._cols)):
-                if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-                    if not np.array_equal(a, b):
-                        return False
-                elif (isinstance(a, ConstColumn)
-                      and isinstance(b, ConstColumn)):
-                    if a.value != b.value:
-                        return False
-                elif (self.column_values(j) != other.column_values(j)):
-                    return False
-            return True
+            if self._layout.matches(other._layout):
+                return (np.array_equal(self._block, other._block)
+                        and self._objs == other._objs)
+            return list(self) == list(other)
         if isinstance(other, (list, tuple)):
             return len(other) == self._n and list(self) == list(other)
         return NotImplemented
@@ -194,40 +292,54 @@ class ColumnPage:
 
     @property
     def width(self) -> int:
-        return len(self._cols)
+        return self._layout.width
 
     def column_array(self, index: int) -> Array | None:
-        """The int64 ndarray of column ``index``, or None when the
-        column is not an integer array (strings, object columns)."""
-        col = self._cols[index]
-        return col if isinstance(col, np.ndarray) else None
+        """The int64 ndarray of column ``index`` (a contiguous view of
+        the page's matrix), or None when the column is not an integer
+        array (strings, object columns)."""
+        kind = self._layout.kinds[index]
+        return self._block[kind] if type(kind) is int else None
 
     def column_values(self, index: int) -> list:
         """Column ``index`` as a list of Python values."""
-        return _column_values(self._cols[index], self._n)
+        layout = self._layout
+        kind = layout.kinds[index]
+        if type(kind) is int:
+            return self._block[kind].tolist()
+        if kind is not None:
+            return [kind.value] * self._n
+        return list(self._objs[layout.obj_pos.index(
+            index if index >= 0 else index + layout.width)])
+
+    def cut(self, start: int, stop: int) -> "ColumnPage":
+        """``self[start:stop]`` for ``0 <= start <= stop <= len(self)``,
+        unchecked: the zero-copy view behind every slice, for callers
+        that cut many packets and know their bounds.
+
+        The hottest page operation (per-packet cuts, scan pages), so it
+        bypasses ``__init__``; one 2-D slice cuts every integer column.
+        """
+        page = ColumnPage.__new__(ColumnPage)
+        page._n = stop - start
+        page._block = self._block[:, start:stop]
+        page._layout = self._layout
+        objs = self._objs
+        page._objs = (tuple([col[start:stop] for col in objs])
+                      if objs else objs)
+        page._hash_cache = {}
+        return page
 
     def take(self, indices) -> "ColumnPage":
         """Gather a row subset (``indices``: ndarray or int list)."""
-        if isinstance(indices, np.ndarray):
-            idx_arr = indices
-            idx_list: list | None = None
-        else:
-            idx_list = list(indices)
-            idx_arr = None
-        cols = []
-        for col in self._cols:
-            if isinstance(col, np.ndarray):
-                if idx_arr is None:
-                    idx_arr = np.asarray(idx_list, dtype=np.intp)
-                cols.append(col[idx_arr])
-            elif isinstance(col, ConstColumn):
-                cols.append(col)
-            else:
-                if idx_list is None:
-                    idx_list = idx_arr.tolist()
-                cols.append([col[i] for i in idx_list])
-        n = (len(idx_arr) if idx_arr is not None else len(idx_list))
-        return ColumnPage(int(n), tuple(cols))
+        if not isinstance(indices, np.ndarray):
+            indices = np.asarray(list(indices), dtype=np.intp)
+        objs = self._objs
+        if objs:
+            idx_list = indices.tolist()
+            objs = tuple([[col[i] for i in idx_list] for col in objs])
+        return ColumnPage(len(indices), self._block.take(indices, axis=1),
+                          self._layout, objs)
 
     def sort_order(self, key_index: int) -> Array | None:
         """Row order sorting by ``(row[key_index], row)``, or None when
@@ -241,28 +353,11 @@ class ColumnPage:
         non-vectorizable and returns None.
         """
         primary = self.column_array(key_index)
-        if primary is None:
+        if primary is None or self._objs:
             return None
-        keys = []
-        for j in range(self.width - 1, -1, -1):
-            col = self._cols[j]
-            if isinstance(col, np.ndarray):
-                keys.append(col)
-            elif not isinstance(col, ConstColumn):
-                return None
-        keys.append(primary)
-        return np.lexsort(keys)
-
-    def _slice_view(self, start: int, stop: int) -> "ColumnPage":
-        # The hottest page operation (per-packet cuts, scan pages):
-        # bypass __init__ and build the column tuple in one pass.
-        page = ColumnPage.__new__(ColumnPage)
-        page._n = stop - start if stop > start else 0
-        page._cols = tuple([
-            col if type(col) is ConstColumn else col[start:stop]
-            for col in self._cols])
-        page._hash_cache = {}
-        return page
+        # lexsort's last key is the most significant: block rows are in
+        # ascending tuple position, so reversed they are the tiebreak.
+        return np.lexsort([*self._block[::-1], primary])
 
     # -- join-key hash-column cache ------------------------------------------
 
@@ -277,38 +372,19 @@ class ColumnPage:
                                                         hash_ints)
 
 
+def _fits_block(col: Array) -> bool:
+    """Can this ndarray column live in the int64 block unchanged?"""
+    return col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64)
+
+
 def _build_column(values: list):
     """Pick the densest faithful representation for one column."""
-    if all(type(v) is int for v in values):
+    if all(type(v) is int or isinstance(v, np.integer) for v in values):
         try:
             return np.array(values, dtype=np.int64)
         except OverflowError:
-            return values
+            return [int(v) for v in values]
     first = values[0]
     if all(v is first or v == first for v in values):
         return ConstColumn(first)
     return values
-
-
-def _column_value(col, i: int):
-    if isinstance(col, np.ndarray):
-        return col.item(i)
-    if isinstance(col, ConstColumn):
-        return col.value
-    return col[i]
-
-
-def _column_iter(col, n: int):
-    if isinstance(col, np.ndarray):
-        return iter(col.tolist())
-    if isinstance(col, ConstColumn):
-        return itertools.repeat(col.value, n)
-    return iter(col)
-
-
-def _column_values(col, n: int) -> list:
-    if isinstance(col, np.ndarray):
-        return col.tolist()
-    if isinstance(col, ConstColumn):
-        return [col.value] * n
-    return list(col)

@@ -37,7 +37,6 @@ cutoff" holds symmetrically on both sides — no result is ever lost
 from __future__ import annotations
 
 import math
-import os
 import typing
 
 import numpy as np
@@ -57,22 +56,13 @@ HISTOGRAM_BINS = 128
 CLEAR_FRACTION = 0.10
 
 
-def _probe_arena_min_rows() -> int:
-    """Probe pages below this row count drop the table to scalar
-    chains.  The arena's sorted-range probe amortizes its gather over
-    the rows of each incoming page; tiny network packets (the
-    small-scale figure-5 points route 9-tuple pages) never recoup it,
-    so the first undersized probe page materializes the chains once
-    and every later probe walks them scalar — bit-identical either
-    way.  Override with ``REPRO_PROBE_ARENA_MIN_ROWS`` (0 disables)."""
-    raw = os.environ.get("REPRO_PROBE_ARENA_MIN_ROWS", "").strip()
-    try:
-        return int(raw) if raw else 32
-    except ValueError:
-        return 32
-
-
-PROBE_ARENA_MIN_ROWS = _probe_arena_min_rows()
+#: Probe pages below this row count drop the table to scalar chains.
+#: The arena's sorted-range probe amortizes its gather over the rows of
+#: each incoming page; tiny network packets (the paper's 2 KB packets
+#: carry 9 tuples) never recoup it, so the first undersized probe page
+#: materializes the chains once and every later probe walks them
+#: scalar — bit-identical either way.
+PROBE_ARENA_MIN_ROWS = 32
 
 
 class JoinOverflowError(RuntimeError):
@@ -393,8 +383,14 @@ class JoinHashTable:
                     tuple_probe, tuple_chain_link, result_move, emit)
             self._materialize()
         slots = self._slots
+        # A columnar packet is read by its key column alone; a row
+        # tuple is materialized only for a row that matches (packets
+        # here are small and matches few, so one row at a time beats
+        # materializing the whole packet at the first match).
+        out_values = (rows.column_values(outer_key)
+                      if isinstance(rows, ColumnPage) else None)
         cpu = 0.0
-        for row, hash_code in zip(rows, hashes):
+        for i, hash_code in enumerate(hashes):
             cpu += tuple_receive
             chain = slots.get(hash_code)
             if chain is None:
@@ -405,10 +401,14 @@ class JoinHashTable:
                 cpu += tuple_probe
             else:
                 cpu += tuple_probe + (chain_length - 1) * tuple_chain_link
-            value = row[outer_key]
+            row = None
+            value = (out_values[i] if out_values is not None
+                     else rows[i][outer_key])
             for match in chain:
                 if match[inner_key] == value:
                     cpu += result_move
+                    if row is None:
+                        row = rows[i]
                     emit(match + row)
         return cpu
 

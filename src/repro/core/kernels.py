@@ -300,38 +300,34 @@ class RoutePlan:
             ends = seg_ends.tolist()
             groups_of_seg = seg_groups.tolist()
             src_list = src.tolist()
+            sorted_hashes = [hash_ints[i] for i in src_list]
+            sorted_rows: typing.Sequence[Row]
             if isinstance(rows, ColumnPage):
                 # Columnar source: one C-level gather of the whole
                 # subset, then zero-copy page-slice packets — no row
                 # tuple is ever materialized on the routing path.
-                sorted_rows: ColumnPage | None = rows.take(src)
-                sorted_hashes = [hash_ints[i] for i in src_list]
+                sorted_rows = rows.take(src)
+                cut = sorted_rows.cut
             else:
-                sorted_rows = None
-                sorted_hashes = []
+                sorted_rows = [rows[i] for i in src_list]
+                cut = None
             for a, b, group in zip(starts, ends, groups_of_seg):
                 dst = dst_of_group[group]
                 bucket = (None if bucket_of_group is None
                           else bucket_of_group[group])
-                idx = src_list[a:b]
-                grows: typing.Sequence[Row]
-                if sorted_rows is None:
-                    grows = [rows[i] for i in idx]
-                    ghashes = [hash_ints[i] for i in idx]
-                else:
-                    grows = sorted_rows[a:b]
-                    ghashes = sorted_hashes[a:b]
-                count = b - a
-                full = count // capacity
-                for k in range(full):
-                    lo = k * capacity
+                # Full packets first; what is left is the group's tail.
+                tail = b - (b - a) % capacity
+                for lo in range(a, tail, capacity):
                     hi = lo + capacity
-                    events.append((idx[hi - 1], dst, bucket,
-                                   grows[lo:hi], ghashes[lo:hi]))
-                if full * capacity < count:
-                    leftovers.append((dst, bucket,
-                                      grows[full * capacity:],
-                                      ghashes[full * capacity:]))
+                    events.append((
+                        src_list[hi - 1], dst, bucket,
+                        cut(lo, hi) if cut else sorted_rows[lo:hi],
+                        sorted_hashes[lo:hi]))
+                if tail < b:
+                    leftovers.append((
+                        dst, bucket,
+                        cut(tail, b) if cut else sorted_rows[tail:b],
+                        sorted_hashes[tail:b]))
             events.sort(key=lambda event: event[0])
         self._events = events
         self._leftovers = leftovers

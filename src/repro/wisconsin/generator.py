@@ -129,23 +129,26 @@ class WisconsinGenerator:
         stddev = max(stddev, 1.0)
         unique1 = self._rng.permutation(n)
         if columnar_enabled() and not self.materialize_strings:
-            # Column arrays straight from the generator — no tuple
-            # list is ever built.  Every value is bit-identical to the
-            # scalar loop below: the modulo arithmetic is over the
+            # The page's column matrix filled straight from the
+            # generator — no tuple list and no second copy of the
+            # relation is ever built.  Every value is bit-identical to
+            # the scalar loop below: the modulo arithmetic is over the
             # same non-negative int64 values, and the normal column
             # shares one rng.normal draw with the list variant.
-            normal_column = normal_attribute_array(
+            block = np.empty((13, n), dtype=np.int64)
+            block[12] = normal_attribute_array(
                 n, self._rng, mean=mean, stddev=stddev, domain=domain)
-            u1 = unique1.astype(np.int64, copy=False)
-            mod2 = u1 % 2
-            mod10 = u1 % 10
-            one_percent = u1 % 100
-            return ColumnPage.from_columns((
-                u1, np.arange(n, dtype=np.int64), mod2, u1 % 4, mod10,
-                u1 % 20, one_percent, mod10, u1 % 5, mod2, u1,
-                one_percent * 2, normal_column,
-                ConstColumn(""), ConstColumn(""), ConstColumn(""),
-            ), n=n)
+            u1 = block[0]
+            u1[:] = unique1
+            block[1] = np.arange(n, dtype=np.int64)
+            block[10] = u1
+            for row, modulus in ((2, 2), (3, 4), (4, 10), (5, 20),
+                                 (6, 100), (8, 5)):
+                np.remainder(u1, modulus, out=block[row])
+            block[7] = block[4]
+            block[9] = block[2]
+            np.multiply(block[6], 2, out=block[11])
+            return ColumnPage.from_block(block, (ConstColumn(""),) * 3)
         normal_values = normal_attribute_values(
             n, self._rng, mean=mean, stddev=stddev, domain=domain)
         rows: list[Row] = []

@@ -261,3 +261,94 @@ class TestProbeArenaThreshold:
             rows, hashes, 0, 0, *self.COSTS, out_arena.append)
         assert out_arena == out_scalar
         assert repr(cpu_arena) == repr(cpu_scalar)
+
+
+class TestProbePageColumnarPacket:
+    """On the scalar-chain path a columnar packet is probed by its key
+    column and only rows that match are materialized — same CPU float,
+    same emits as the tuple-list packet it stands for."""
+
+    COSTS = TestProbeArenaThreshold.COSTS
+
+    @staticmethod
+    def _chained_table(build_keys):
+        # Hash = key mod 5: distinct keys share chains, so chain walks
+        # meet non-matching links as well as duplicate-key runs.
+        table = JoinHashTable(max(1, len(build_keys)))
+        table.insert_page([(k, f"inner{i}") for i, k in enumerate(build_keys)],
+                          [k % 5 for k in build_keys])
+        assert table._arena is None
+        return table
+
+    def _probe_both(self, table, probe_keys):
+        from repro.catalog.pages import ColumnPage
+        rows = [(i, k) for i, k in enumerate(probe_keys)]
+        hashes = [k % 5 for k in probe_keys]
+        out_rows: list = []
+        out_page: list = []
+        cpu_rows = table.probe_page(rows, hashes, 1, 0, *self.COSTS,
+                                    out_rows.append)
+        cpu_page = table.probe_page(ColumnPage.from_rows(rows), hashes,
+                                    1, 0, *self.COSTS, out_page.append)
+        assert repr(cpu_page) == repr(cpu_rows)
+        assert out_page == out_rows
+        return cpu_rows, out_rows
+
+    @given(build_keys=st.lists(st.integers(0, 12), max_size=40),
+           probe_keys=st.lists(st.integers(0, 15), min_size=1,
+                               max_size=48))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_tuple_list_packet(self, build_keys, probe_keys):
+        table = self._chained_table(build_keys)
+        _cpu, out = self._probe_both(table, probe_keys)
+        assert len(out) == sum(build_keys.count(k) for k in probe_keys)
+
+    @pytest.mark.parametrize("size", [1, 9, 31, 32, 40])
+    def test_multi_match_rows_at_every_packet_size(self, size):
+        table = self._chained_table([3, 8, 3, 13, 3])
+        _cpu, out = self._probe_both(table, [3] * size)
+        assert out == [(3, inner, i, 3) for i in range(size)
+                       for inner in ("inner0", "inner2", "inner4")]
+
+    def test_no_match_packet_materializes_no_row(self, monkeypatch):
+        from repro.catalog.pages import ColumnPage
+        table = self._chained_table([3, 8, 3])
+        page = ColumnPage.from_rows([(i, 13) for i in range(9)])
+        for method in ("__iter__", "__getitem__"):
+            def touched(self, *args, _method=method):
+                raise AssertionError(f"row access through {_method}")
+            monkeypatch.setattr(ColumnPage, method, touched)
+        out: list = []
+        receive, probe, link, _move = self.COSTS
+        cpu = table.probe_page(page, [13 % 5] * 9, 1, 0, *self.COSTS,
+                               out.append)
+        expected = 0.0
+        for _ in range(9):
+            expected += receive
+            expected += probe + 2 * link
+        assert out == []
+        assert repr(cpu) == repr(expected)
+
+    def test_matching_rows_materialize_once_each(self, monkeypatch):
+        from repro.catalog.pages import ColumnPage
+        table = self._chained_table([3, 8, 3])
+        page = ColumnPage.from_rows(
+            [(i, key) for i, key in enumerate([13, 3, 13, 8, 13])])
+        fetched: list = []
+        row_at = ColumnPage.__getitem__
+
+        def counting(self, item):
+            fetched.append(item)
+            return row_at(self, item)
+
+        def iterated(self):
+            raise AssertionError("whole-packet materialization")
+
+        monkeypatch.setattr(ColumnPage, "__getitem__", counting)
+        monkeypatch.setattr(ColumnPage, "__iter__", iterated)
+        out: list = []
+        table.probe_page(page, [k % 5 for k in (13, 3, 13, 8, 13)], 1, 0,
+                         *self.COSTS, out.append)
+        assert fetched == [1, 3]
+        assert out == [(3, "inner0", 1, 3), (3, "inner2", 1, 3),
+                       (8, "inner1", 3, 8)]
