@@ -88,40 +88,6 @@ def time_microbench(reps: int) -> dict:
     return _summary(times)
 
 
-def time_scheduler(reps: int) -> dict | None:
-    """Scheduler microbench (wide pending set), both REPRO_SCHED arms.
-
-    The figure sweeps never hold more than a few dozen pending times,
-    where the calendar and the heap are at parity — this workload
-    (50k distinct pending timestamps, day index engaged) is where the
-    calendar's O(1) day index separates from the heap's O(log n).
-    """
-    try:
-        from benchmarks.test_kernel_microbench import run_scheduler_workload
-    except ImportError:
-        return None  # revision predates the scheduler microbench
-    import os
-
-    out = {}
-    saved = os.environ.get("REPRO_SCHED")
-    try:
-        for sched in ("calendar", "heap"):
-            os.environ["REPRO_SCHED"] = sched
-            run_scheduler_workload(n_pending=2000, rounds=1)  # warm-up
-            times = []
-            for _ in range(reps):
-                started = time.perf_counter()
-                run_scheduler_workload()
-                times.append(time.perf_counter() - started)
-            out[sched] = _summary(times)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHED", None)
-        else:
-            os.environ["REPRO_SCHED"] = saved
-    return out
-
-
 def time_dataplane(reps: int) -> dict | None:
     """Data-plane microbench (hash/filter/build/probe, no simulator).
 
@@ -141,71 +107,6 @@ def time_dataplane(reps: int) -> dict | None:
         run_dataplane_workload()
         times.append(time.perf_counter() - started)
     return _summary(times)
-
-
-def time_certs(reps: int) -> dict | None:
-    """Interleaved A/B of the certificate gate (DESIGN.md §12).
-
-    The suspect-cohort workload under three arms — certificates off
-    (every cohort sequenced), on (batch-fired via upgrade), and
-    cross-checked — with reps interleaved arm-by-arm so clock drift
-    and cache warmth hit all arms alike.  Records timing plus
-    cohort-batch coverage (batched / total cohorts), which must be
-    >= the baseline arm's.
-    """
-    try:
-        from benchmarks.test_kernel_microbench import run_cohort_workload
-    except ImportError:
-        return None  # revision predates the certificate gate
-    import json as _json
-    import os
-    import tempfile
-
-    table = {
-        "version": 1,
-        "patterns": [{"pattern": "cohortactor:*", "kernel_safe": True,
-                      "effects": {"opaque": False}}],
-        "pairs": {"commutes": [[0, 0]], "serialized": []},
-    }
-    handle = tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False, encoding="utf-8")
-    with handle:
-        _json.dump(table, handle)
-    arms = {"off": None, "certs": handle.name,
-            "check": f"check:{handle.name}"}
-    times: dict = {arm: [] for arm in arms}
-    coverage: dict = {}
-    saved = os.environ.get("REPRO_SCHED_CERTS")
-    try:
-        run_cohort_workload(n_actors=4, rounds=8)  # warm-up
-        for _ in range(reps):
-            for arm, value in arms.items():
-                if value is None:
-                    os.environ.pop("REPRO_SCHED_CERTS", None)
-                else:
-                    os.environ["REPRO_SCHED_CERTS"] = value
-                started = time.perf_counter()
-                sim = run_cohort_workload()
-                times[arm].append(time.perf_counter() - started)
-                counters = sim.kernel_counters()
-                cohorts = counters["sched_cohorts"]
-                coverage[arm] = {
-                    "cohorts": cohorts,
-                    "sequenced": counters["sched_sequenced_cohorts"],
-                    "cert_upgrades": counters["sched_cert_upgrades"],
-                    "cert_checked": counters["sched_cert_checked"],
-                    "batch_coverage": round(
-                        1.0 - counters["sched_sequenced_cohorts"]
-                        / cohorts, 4) if cohorts else None,
-                }
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SCHED_CERTS", None)
-        else:
-            os.environ["REPRO_SCHED_CERTS"] = saved
-        os.unlink(handle.name)
-    return {arm: {**_summary(times[arm]), **coverage[arm]}
-            for arm in arms}
 
 
 def time_columnar(reps: int, scale: float = 1.0) -> dict | None:
@@ -299,18 +200,16 @@ def time_compiled(reps: int, scale: float) -> dict | None:
     """Interleaved A/B of the compiled kernel backend
     (``REPRO_COMPILED``, DESIGN.md §15).
 
-    Four workloads under the compiled engine and the numpy fallback,
+    Three workloads under the compiled engine and the numpy fallback,
     reps interleaved arm-by-arm so clock drift and cache warmth hit
     both arms alike:
 
     * raw dispatched kernels at 1M elements — the route-plan chain
       (hash/remix/filter/marks/split) where the compiled engines'
       single-pass loops and counting sort separate hardest from the
-      fallback's chained numpy temporaries, plus ``arena_ranges`` and
-      ``partition_days`` recorded separately because they are honest
-      near-parity cases (both sides lean on a real sort);
-    * the scheduler microbench (calendar day partitioning rides
-      ``partition_days``);
+      fallback's chained numpy temporaries, plus ``arena_ranges``
+      recorded separately because it is an honest near-parity case
+      (both sides lean on a real sort);
     * the figure-5 sweep at ``--scale``;
     * one 256-node scale-out point (hybrid, modern-2018 + fabric) —
       the large-N control plane the flattened EOS fan-out targets.
@@ -338,7 +237,6 @@ def time_compiled(reps: int, scale: float) -> dict | None:
     values = rng.integers(0, 2**64, n, dtype=np.uint64)
     groups = rng.integers(0, 64, n).astype(np.int64)
     hashes = rng.integers(0, 2**32, n).astype(np.int64)
-    stamps = rng.uniform(0.0, 1e6, n)
 
     def route_plan() -> tuple:
         codes = backend.hash_avalanche(values, 2654435761)
@@ -353,18 +251,6 @@ def time_compiled(reps: int, scale: float) -> dict | None:
         order, starts, ends, keys, max_chain = backend.arena_ranges(
             hashes)
         return (int(order[-1]), len(starts), int(keys[0]), max_chain)
-
-    def days() -> tuple:
-        sorted_times, starts, ends, day_ids = backend.partition_days(
-            stamps, 1e-3)
-        return (repr(float(sorted_times[0])), len(starts),
-                int(day_ids[-1]))
-
-    def scheduler() -> str:
-        from benchmarks.test_kernel_microbench import (
-            run_scheduler_workload,
-        )
-        return repr(run_scheduler_workload().now)
 
     def figure5() -> list:
         from repro.experiments import figures
@@ -388,7 +274,6 @@ def time_compiled(reps: int, scale: float) -> dict | None:
                 for entry in sample["curves"]["speedup"]["hybrid"]]
 
     workloads = {"route_plan_1m": route_plan, "arena_ranges_1m": arena,
-                 "partition_days_1m": days, "scheduler": scheduler,
                  "figure5": figure5, "scaleout_256": scaleout_256}
     times: dict = {name: {arm: [] for arm in arms}
                    for name in workloads}
@@ -478,10 +363,6 @@ def main(argv: list | None = None) -> int:
                         help="jobs levels to time (default: 1 2)")
     parser.add_argument("--label", default=None,
                         help="sample label (default: git revision)")
-    parser.add_argument("--sched", default=None,
-                        choices=("calendar", "heap"),
-                        help="pin REPRO_SCHED for the sweep/microbench "
-                             "timings (default: inherit environment)")
     parser.add_argument("--notes", default=None,
                         help="free-form context recorded with the sample")
     parser.add_argument("--columnar-scale", type=float, default=1.0,
@@ -494,10 +375,6 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
-    if args.sched is not None:
-        import os
-        os.environ["REPRO_SCHED"] = args.sched
-
     revision = _git_revision()
     sample = {
         "label": args.label or revision,
@@ -509,19 +386,11 @@ def main(argv: list | None = None) -> int:
         "figure5_sweep": {},
         "kernel_microbench": time_microbench(args.reps),
     }
-    if args.sched is not None:
-        sample["sched"] = args.sched
     if args.notes is not None:
         sample["notes"] = args.notes
-    scheduler = time_scheduler(args.reps)
-    if scheduler is not None:
-        sample["scheduler_microbench"] = scheduler
     dataplane = time_dataplane(args.reps)
     if dataplane is not None:
         sample["dataplane_microbench"] = dataplane
-    certs = time_certs(args.reps)
-    if certs is not None:
-        sample["certs_microbench"] = certs
     columnar = time_columnar(args.reps, scale=args.columnar_scale)
     if columnar is not None:
         sample["columnar_microbench"] = columnar

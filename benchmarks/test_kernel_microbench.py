@@ -183,59 +183,6 @@ def run_dataplane_workload(vector: bool | None = None,
     }
 
 
-# -- scheduler microbenchmark ----------------------------------------------
-
-SCHED_PENDING = 50000
-SCHED_ROUNDS = 2
-
-
-def run_scheduler_workload(n_pending: int = SCHED_PENDING,
-                           rounds: int = SCHED_ROUNDS) -> Simulator:
-    """Wide-pending-set workload: the regime the calendar queue is for.
-
-    ``n_pending`` sleepers, each with a distinct deadline, re-arming
-    ``rounds`` times — the pending population stays near ``n_pending``
-    distinct timestamps for the whole run.  The binary heap pays
-    O(log n) float-tuple comparisons per event at that population; the
-    calendar's day index (engaged past 4096 distinct times) pays O(1)
-    dict operations.  The paper-scale figure sweeps never leave the
-    few-dozen-pending regime where the two are at parity — this
-    workload is where the asymptotic separation actually shows.
-    """
-    sim = Simulator()
-
-    def sleeper(index: int):
-        delay = 0.001 * (index + 1)
-        for _ in range(rounds):
-            yield sim.timeout(delay)
-
-    for index in range(n_pending):
-        sim.process(sleeper(index))
-    sim.run()
-    return sim
-
-
-def test_scheduler_microbench(benchmark):
-    sim = benchmark(run_scheduler_workload, n_pending=6000, rounds=2)
-    counters = sim.kernel_counters()
-    assert counters["queued_events"] == 0
-    assert counters["events_fired"] >= 6000 * 2
-    if counters["sched_mode"] == "calendar":
-        # 6000 distinct pending times must have engaged the day index.
-        assert counters["sched_calendar_engages"] >= 1
-
-
-def test_scheduler_modes_agree_at_scale(monkeypatch):
-    """Calendar (day index engaged) and heap end bit-identical."""
-    monkeypatch.setenv("REPRO_SCHED", "calendar")
-    calendar = run_scheduler_workload(n_pending=5000, rounds=2)
-    monkeypatch.setenv("REPRO_SCHED", "heap")
-    heap = run_scheduler_workload(n_pending=5000, rounds=2)
-    assert calendar.kernel_counters()["sched_calendar_engages"] >= 1
-    assert repr(calendar.now) == repr(heap.now)
-    assert calendar.events_fired == heap.events_fired
-
-
 def test_dataplane_microbench(benchmark):
     digest = benchmark(run_dataplane_workload)
     assert digest["inserted"] == DP_PAGES * DP_PAGE_ROWS
@@ -324,61 +271,3 @@ def test_columnar_matches_tuple():
     assert page_arm.pop("columnar") is True
     assert tuple_arm.pop("columnar") is False
     assert page_arm == tuple_arm
-
-
-# -- suspect-cohort workload (the certificate gate's regime) ----------------
-
-COHORT_ACTORS = 16
-COHORT_ROUNDS = 400
-
-
-class CohortActor:
-    """Event owner whose label (``cohortactor:<letter>``) sits outside the
-    runtime gate's benign classes — letters, not digits, so cohort
-    members keep distinct normalised labels and the homogeneous fast
-    path cannot vouch for them."""
-
-    __slots__ = ("name", "fired")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.fired = 0
-
-    def on_fire(self, event) -> None:
-        self.fired += 1
-
-
-def run_cohort_workload(n_actors: int = COHORT_ACTORS,
-                        rounds: int = COHORT_ROUNDS) -> Simulator:
-    """Suspect-signature cohort workload for the certificate A/B.
-
-    ``n_actors`` custom-labelled owners each arm one event per round,
-    all at the same timestamp, so every round is one ``n_actors``-event
-    cohort whose signature (``cohortactor:a + ...``) the runtime
-    gate must sequence.  With ``REPRO_SCHED_CERTS`` pointing at a table
-    that certifies ``cohortactor:*``, the same cohorts batch-fire — the
-    coverage delta is the point of ``bench_kernel``'s interleaved A/B.
-    """
-    import string
-
-    if n_actors > len(string.ascii_lowercase):
-        raise ValueError("letter-named actors only: n_actors <= 26")
-    sim = Simulator()
-    actors = [CohortActor(letter)
-              for letter in string.ascii_lowercase[:n_actors]]
-    for round_no in range(1, rounds + 1):
-        for actor in actors:
-            event = sim.timeout(float(round_no))
-            event.callbacks.append(actor.on_fire)
-    sim.run()
-    assert all(actor.fired == rounds for actor in actors)
-    return sim
-
-
-def test_cohort_microbench_sequences_by_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "calendar")
-    monkeypatch.delenv("REPRO_SCHED_CERTS", raising=False)
-    sim = run_cohort_workload(n_actors=4, rounds=8)
-    counters = sim.kernel_counters()
-    assert counters["sched_sequenced_cohorts"] == 8
-    assert counters["sched_cert_upgrades"] == 0

@@ -80,9 +80,8 @@ def event_label(event: "Event") -> str:
 
     Owners may precompute their label in an ``audit_label`` attribute
     (:class:`~repro.sim.process.Process` and
-    :class:`~repro.sim.resources.Resource` do) — the calendar
-    scheduler's cohort gate labels events at kernel rate, so the
-    type/name introspection is hoisted to owner construction.
+    :class:`~repro.sim.resources.Resource` do), hoisting the
+    type/name introspection to owner construction.
     """
     for callback in event.callbacks:
         owner = getattr(callback, "__self__", None)
@@ -110,13 +109,7 @@ def signature_is_benign(normalised: typing.Sequence[str], signature: str,
                         = DEFAULT_BENIGN_LABELS,
                         benign_signatures: typing.Sequence[str] = ()
                         ) -> bool:
-    """Classify one tie/cohort signature (see "Classification" above).
-
-    Shared by :class:`TieAuditor` and the calendar scheduler's
-    cohort-fire gate (``Simulator._cohort_benign``): a same-instant
-    event group may be fired straight off its bucket only when this
-    classification vouches for its signature — the same contract that
-    marks a tie site accounted-for in the audit report.
+    """Classify one tie signature (see "Classification" above).
 
     ``normalised`` is the sorted, deduplicated list of normalised event
     labels; ``signature`` is their :data:`SEPARATOR` join.

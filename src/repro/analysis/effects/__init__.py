@@ -17,34 +17,28 @@ Layout
   pairwise conflict test.
 * :mod:`~repro.analysis.effects.sites` — the label-pattern algebra:
   deriving a normalised label pattern from a name expression, wrapper
-  template substitution, and the pattern matcher the runtime gate uses.
+  template substitution, and the label pattern matcher.
 * :mod:`~repro.analysis.effects.analyzer` — the AST walker: call
   graph over the sim packages (reusing the alias resolution of
   :class:`repro.analysis.rules.ModuleContext`), effect inference with
   fixpoint propagation, spawn-wrapper recognition, kernel-safety.
 * :mod:`~repro.analysis.effects.certificates` — certificate
-  derivation, the JSON table format, the runtime
-  :class:`~repro.analysis.effects.certificates.CertificateTable`, and
-  :class:`~repro.analysis.effects.certificates.CertificateError`.
+  derivation, the JSON table format and the in-memory
+  :class:`~repro.analysis.effects.certificates.CertificateTable`.
 
-Run ``python -m repro.analysis.effects --emit-certs`` to (re)generate
-the table; the simulator loads it behind ``REPRO_SCHED_CERTS`` (see
-DESIGN.md §12).
+Run ``python -m repro.analysis.effects --emit-certs`` to print the
+table (see DESIGN.md §12); nothing loads it at run time.
 """
 
 from repro.analysis.effects.certificates import (
-    CertificateError,
     CertificateTable,
     build_table,
-    load_table,
 )
 from repro.analysis.effects.model import EffectSummary, pair_verdict
 
 __all__ = [
-    "CertificateError",
     "CertificateTable",
     "EffectSummary",
     "build_table",
-    "load_table",
     "pair_verdict",
 ]

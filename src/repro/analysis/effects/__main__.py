@@ -4,18 +4,16 @@ Usage::
 
     python -m repro.analysis.effects                 # summary + suspects
     python -m repro.analysis.effects --emit-certs    # table JSON to stdout
-    python -m repro.analysis.effects --emit-certs --write
-                                                     # refresh committed table
+    python -m repro.analysis.effects --write         # refresh baseline.json
     python -m repro.analysis.effects --check         # CI gate
     python -m repro.analysis.effects --summaries     # per-callable effects
     python -m repro.analysis.effects path/a.py ...   # explicit file set
 
-``--check`` regenerates the analysis tree-wide and fails when (a) the
-committed certificate table is stale (the tree changed but the table
-was not regenerated) or (b) a *new* suspect appeared — a kernel-unsafe
-callable, an opaque site footprint, or an unresolved spawn site not
-acknowledged in the committed baseline.  Suspects disappearing is fine
-(and reported, so the baseline can be tightened).
+``--check`` regenerates the analysis tree-wide and fails when a *new*
+suspect appeared — a kernel-unsafe callable, an opaque site footprint,
+or an unresolved spawn site not acknowledged in the committed
+baseline.  Suspects disappearing is fine (and reported, so the baseline
+can be tightened).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.analysis.effects.analyzer import (
 )
 from repro.analysis.effects.certificates import (
     BASELINE_PATH,
-    DEFAULT_TABLE_PATH,
     build_baseline,
     build_table,
 )
@@ -94,18 +91,6 @@ def _check(analysis: ProgramAnalysis) -> int:
     table = build_table(analysis)
     failures: list[str] = []
     try:
-        committed = json.loads(
-            DEFAULT_TABLE_PATH.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        committed = None
-        failures.append(f"missing committed table "
-                        f"{DEFAULT_TABLE_PATH.name}")
-    if committed is not None and committed != table:
-        failures.append(
-            f"committed table {DEFAULT_TABLE_PATH.name} is stale — "
-            f"rerun 'python -m repro.analysis.effects --emit-certs "
-            f"--write'")
-    try:
         baseline = json.loads(
             BASELINE_PATH.read_text(encoding="utf-8"))
         known = set(baseline.get("suspects", ()))
@@ -144,11 +129,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     parser.add_argument("--out", metavar="FILE",
                         help="write --emit-certs output to FILE")
     parser.add_argument("--write", action="store_true",
-                        help="refresh the committed certificates.json "
-                             "and baseline.json")
+                        help="refresh the committed baseline.json")
     parser.add_argument("--check", action="store_true",
-                        help="fail when the committed table is stale "
-                             "or a new suspect appeared")
+                        help="fail when a suspect not in the "
+                             "committed baseline appeared")
     parser.add_argument("--summaries", action="store_true",
                         help="print per-callable effect summaries")
     args = parser.parse_args(argv)
@@ -163,14 +147,12 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     if args.summaries:
         _print_summaries(analysis)
         return 0
-    table = build_table(analysis)
     if args.write:
-        DEFAULT_TABLE_PATH.write_text(_dump(table), encoding="utf-8")
         BASELINE_PATH.write_text(_dump(build_baseline(analysis)),
                                  encoding="utf-8")
-        print(f"wrote {DEFAULT_TABLE_PATH}")
         print(f"wrote {BASELINE_PATH}")
         return 0
+    table = build_table(analysis)
     if args.emit_certs:
         text = _dump(table)
         if args.out:

@@ -32,9 +32,7 @@ footprint; generic container/str methods are modelled as local reads
 (mutating ones as writes through the receiver chain).  The one known
 imprecision — shared objects flowing through differently named
 parameters are keyed by parameter name — errs toward missing a
-*cross-site* conflict only; same-site conflicts key identically, and
-the runtime cross-check (``REPRO_SCHED_CERTS=check``) backstops the
-static verdicts in any case.
+*cross-site* conflict only; same-site conflicts key identically.
 """
 
 from __future__ import annotations
@@ -106,8 +104,7 @@ STORE_METHODS = frozenset({"put", "get"})
 
 #: Simulator attributes/methods model code must never reach.
 KERNEL_PRIVATE_ATTRS = frozenset({
-    "_heap", "_calendar", "_urgent", "_sequence", "_event_pool",
-    "_crashed", "_cohort_cache", "_cohort_benign_fn", "_event_serial",
+    "_heap", "_urgent", "_sequence", "_crashed", "_event_serial",
     "_fire", "_schedule", "_resume",
 })
 KERNEL_DRIVE_METHODS = frozenset({"run", "step"})

@@ -1,4 +1,4 @@
-"""Commutativity certificates: derivation, table format, runtime gate.
+"""Commutativity certificates: derivation and table format.
 
 The certificate table is the machine-readable product of the analyzer
 (:mod:`repro.analysis.effects.analyzer`): the attributed event-site
@@ -7,15 +7,13 @@ patterns with their effect footprints, plus the pairwise verdicts of
 pair (self-pairs included — two events from the *same* site usually
 share state and do **not** commute).
 
-Two certificate tiers back the scheduler gate:
+A cohort — a group of same-instant events, named by the tie
+auditor's normalised labels — is classified in two tiers:
 
 * **batchable** — every label of the cohort is attributed to analyzed,
-  kernel-safe model code.  Such a cohort may be batch-fired through the
-  calendar queue's cohort walk even when the runtime signature gate
-  would sequence it: the firing *order* is still the deterministic one,
-  only the per-event re-peek bookkeeping is skipped, so batchability is
-  a pure attribution property.  This is the tier that widens runtime
-  coverage.
+  kernel-safe model code: a pure attribution property (the tie
+  signatures the auditor observes on the paper workloads must all have
+  it).
 * **commutative** — additionally, every pair of matched patterns (self
   pairs of duplicated labels included) has a ``commutes`` verdict:
   provably disjoint footprints, so even *reordering* the cohort cannot
@@ -27,16 +25,15 @@ several patterns carries the union of their footprints, so a pair of
 labels is commutative only if **all** combinations of their matched
 patterns commute.
 
-The committed table (``certificates.json`` next to this module) is
-regenerated with ``python -m repro.analysis.effects --emit-certs`` and
-checked for staleness by ``--check`` in CI; ``baseline.json`` holds the
-acknowledged suspect inventory (kernel-unsafe callables, opaque or
-unresolved sites) the check regresses against.
+The table is built in memory (``python -m repro.analysis.effects
+--emit-certs`` prints it); nothing loads it at run time.  The committed
+``baseline.json`` next to this module holds the acknowledged suspect
+inventory (kernel-unsafe callables, opaque or unresolved sites) that
+``--check`` regresses against in CI.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import typing
 
@@ -54,32 +51,8 @@ if typing.TYPE_CHECKING:
 
 TABLE_VERSION = 1
 
-#: The committed artifacts live next to this module so that the
-#: runtime gate can load them without knowing the repository root.
-DEFAULT_TABLE_PATH = pathlib.Path(__file__).with_name(
-    "certificates.json")
+#: The committed suspect baseline lives next to this module.
 BASELINE_PATH = pathlib.Path(__file__).with_name("baseline.json")
-
-
-class CertificateError(RuntimeError):
-    """A statically certified cohort was observed conflicting.
-
-    Raised by the runtime cross-check (``REPRO_SCHED_CERTS=check``)
-    when two members of a batch-fired cohort touch the same kernel
-    object during the batch — the structured analogue of a
-    :mod:`repro.verify` invariant failure.
-    """
-
-    def __init__(self, signature: str, when: float, owner: str,
-                 members: typing.Sequence[str]) -> None:
-        self.signature = signature
-        self.when = when
-        self.owner = owner
-        self.members = tuple(members)
-        super().__init__(
-            f"certified cohort {signature!r} at t={when!r} observed "
-            f"conflicting: {owner} touched by "
-            f"{' and '.join(self.members)}")
 
 
 def build_table(analysis: "ProgramAnalysis") -> dict[str, typing.Any]:
@@ -87,8 +60,7 @@ def build_table(analysis: "ProgramAnalysis") -> dict[str, typing.Any]:
 
     Deterministic: patterns are sorted, pair lists are index pairs
     ``i <= j`` in pattern order, every set is emitted sorted — so the
-    committed JSON is reproducible byte-for-byte and ``--check`` can
-    compare by equality.
+    emitted JSON is reproducible byte-for-byte.
     """
     patterns = sorted(analysis.sites)
     closure_safe = analysis.sites_kernel_safe
@@ -153,7 +125,7 @@ def build_baseline(analysis: "ProgramAnalysis"
 
 
 class CertificateTable:
-    """Compiled form of the table, as loaded by the scheduler gate.
+    """Compiled form of the table.
 
     Label-to-pattern matching is memoised per normalised label (the
     auditor's label universe is small and highly repetitive), so the
@@ -250,18 +222,3 @@ class CertificateTable:
                 else:
                     return CONFLICTS
         return worst
-
-
-def load_table(path: pathlib.Path | str | None = None
-               ) -> CertificateTable:
-    """Load a certificate table (the committed default when ``path``
-    is None)."""
-    table_path = pathlib.Path(path) if path else DEFAULT_TABLE_PATH
-    try:
-        data = json.loads(table_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"certificate table not found at {table_path}; run "
-            f"'python -m repro.analysis.effects --emit-certs --write' "
-            f"to generate it") from None
-    return CertificateTable(data, source=str(table_path))

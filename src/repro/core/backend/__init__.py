@@ -1,8 +1,8 @@
 """Compiled kernel backend: dispatch, selection, and counters.
 
 The simulator's data-plane kernels (hashing, bit filters, route
-splitting, arena indexing) and the calendar queue's day partitioner
-are defined once, by their numpy reference implementations in
+splitting, arena indexing) are defined once, by their numpy reference
+implementations in
 :mod:`repro.core.backend.fallback`, and optionally *accelerated* by a
 compiled engine that reproduces them bit-for-bit:
 
@@ -33,7 +33,7 @@ only — all simulated timestamps, response times, and figures are
 byte-identical across settings.
 
 The module-level kernel functions (``hash_avalanche`` …
-``partition_days``) are the dispatch points; callers never import an
+``unpack_bits``) are the dispatch points; callers never import an
 engine directly.  Activation is lazy (first kernel call) and counted:
 :func:`counters` reports ``be_compiled_calls`` / ``be_fallback_calls``
 / per-kernel hits and the one-time JIT/compile warmup seconds, which
@@ -121,7 +121,6 @@ def _warm(engine: typing.Any) -> float:
     engine.arena_ranges(s % 3)
     engine.marks_word_bytes(s, 64)
     engine.unpack_bits(b"\x0f" * 8, 64)
-    engine.partition_days(np.array([0.5, 1.5, 2.25]), 1.0)
     return time.perf_counter() - t0  # repro-lint: disable=REPRO001
 
 
@@ -230,4 +229,3 @@ split_groups = _dispatch("split_groups")
 arena_ranges = _dispatch("arena_ranges")
 marks_word_bytes = _dispatch("marks_word_bytes")
 unpack_bits = _dispatch("unpack_bits")
-partition_days = _dispatch("partition_days")

@@ -150,27 +150,3 @@ void repro_unpack_bits(const uint8_t *bytes, int64_t num_bits,
     for (int64_t i = 0; i < num_bits; i++)
         out[i] = (bytes[i >> 3] >> (i & 7)) & 1u;
 }
-
-/* Segment ascending timestamps into integer days of 1/inv_width
- * seconds.  Returns the number of days.  The caller sorts (numpy's
- * sort beats qsort's per-comparison callback by an order of
- * magnitude, and equal doubles are bitwise interchangeable, so the
- * sorted array is identical whichever side sorts it). */
-int64_t repro_partition_days(const double *times, int64_t n,
-                             double inv_width, int64_t *starts,
-                             int64_t *ends, int64_t *days)
-{
-    int64_t nseg = 0, i = 0;
-    while (i < n) {
-        int64_t day = (int64_t)(times[i] * inv_width);
-        int64_t j = i + 1;
-        while (j < n && (int64_t)(times[j] * inv_width) == day)
-            j++;
-        starts[nseg] = i;
-        ends[nseg] = j;
-        days[nseg] = day;
-        nseg++;
-        i = j;
-    }
-    return nseg;
-}

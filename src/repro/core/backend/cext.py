@@ -48,9 +48,6 @@ void repro_marks_word(const int64_t *slots, int64_t n, uint8_t *bytes,
                       int64_t n_bytes);
 void repro_unpack_bits(const uint8_t *bytes, int64_t num_bits,
                        uint8_t *out);
-int64_t repro_partition_days(const double *times, int64_t n,
-                             double inv_width, int64_t *starts,
-                             int64_t *ends, int64_t *days);
 """
 
 
@@ -192,21 +189,6 @@ def load() -> types.SimpleNamespace:
                               cast("uint8_t *", from_buffer(out)))
         return out.astype(bool)
 
-    def partition_days(times: Array, inv_width: float
-                       ) -> tuple[Array, Array, Array, Array]:
-        n = len(times)
-        # numpy sorts; C only segments.  Equal doubles are bitwise
-        # interchangeable (no NaN/-0.0 in simulated timestamps), so
-        # the sorted array matches the fallback's argsort bit-for-bit.
-        sorted_times = np.sort(np.asarray(times, dtype=np.float64))
-        starts = np.empty(n, dtype=np.int64)
-        ends = np.empty(n, dtype=np.int64)
-        days = np.empty(n, dtype=np.int64)
-        nseg = lib.repro_partition_days(
-            cast("const double *", from_buffer(sorted_times)), n,
-            inv_width, _i64(starts), _i64(ends), _i64(days))
-        return sorted_times, starts[:nseg], ends[:nseg], days[:nseg]
-
     return types.SimpleNamespace(
         name="cext",
         hash_avalanche=hash_avalanche,
@@ -217,5 +199,4 @@ def load() -> types.SimpleNamespace:
         arena_ranges=arena_ranges,
         marks_word_bytes=marks_word_bytes,
         unpack_bits=unpack_bits,
-        partition_days=partition_days,
     )

@@ -5,8 +5,8 @@ engine in :mod:`repro.core.backend` must reproduce these functions
 bit-for-bit on every input (property-tested in
 ``tests/core/test_backend_parity.py``).  The implementations are the
 numpy paths that previously lived inline in :mod:`repro.core.kernels`,
-:mod:`repro.core.hash_table` and :mod:`repro.sim.calendar` — moving
-them here changed no arithmetic.
+:mod:`repro.core.hash_table` — moving them here changed no
+arithmetic.
 
 Exactness notes, per kernel:
 
@@ -19,9 +19,6 @@ Exactness notes, per kernel:
   stable algorithm — numpy's radix/merge argsort here, a counting or
   merge sort in the compiled engines — produces the identical
   ``order`` array.
-* ``partition_days`` — ``int(time * inv_width)`` truncates toward
-  zero, as does a C cast of the identical double product; timestamps
-  are distinct, so the ascending sort is unambiguous.
 * ``marks_word_bytes`` / ``unpack_bits`` — byte-for-byte bit layout
   (little-endian within each byte), directly comparable.
 """
@@ -46,7 +43,6 @@ KERNELS = (
     "arena_ranges",
     "marks_word_bytes",
     "unpack_bits",
-    "partition_days",
 )
 
 
@@ -127,23 +123,3 @@ def unpack_bits(raw: bytes, num_bits: int) -> Array:
     """Bool-array view of a little-endian bitset image."""
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little")[:num_bits].astype(bool)
-
-
-def partition_days(times: Array, inv_width: float
-                   ) -> tuple[Array, Array, Array, Array]:
-    """Partition distinct timestamps into calendar days.
-
-    Returns ``(sorted_times, starts, ends, days)``: timestamps sorted
-    ascending, with ``starts[k]:ends[k]`` delimiting the times of
-    integer day ``days[k]`` (``int(t * inv_width)``), days ascending.
-    """
-    sorted_times = np.sort(times)
-    day_of = (sorted_times * inv_width).astype(np.int64)
-    n = len(times)
-    if not n:
-        empty = np.empty(0, dtype=np.int64)
-        return sorted_times, empty, empty, empty
-    cuts = np.flatnonzero(day_of[1:] != day_of[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [n]))
-    return sorted_times, starts, ends, day_of[starts]

@@ -152,27 +152,6 @@ def load() -> types.SimpleNamespace:
             out[i] = (raw[i >> 3] >> (i & 7)) & 1
         return out
 
-    @njit(cache=True)
-    def _partition_days(times, inv_width):
-        sorted_times = np.sort(times)
-        n = sorted_times.shape[0]
-        starts = np.empty(n, dtype=np.int64)
-        ends = np.empty(n, dtype=np.int64)
-        days = np.empty(n, dtype=np.int64)
-        nseg = 0
-        i = 0
-        while i < n:
-            day = np.int64(sorted_times[i] * inv_width)
-            j = i + 1
-            while j < n and np.int64(sorted_times[j] * inv_width) == day:
-                j += 1
-            starts[nseg] = i
-            ends[nseg] = j
-            days[nseg] = day
-            nseg += 1
-            i = j
-        return sorted_times, starts[:nseg], ends[:nseg], days[:nseg]
-
     def hash_avalanche(values: Array, mult: int) -> Array:
         return _hash_avalanche(values, np.uint64(mult))
 
@@ -201,10 +180,6 @@ def load() -> types.SimpleNamespace:
         return _unpack_bits(np.frombuffer(raw, dtype=np.uint8),
                             num_bits).astype(bool)
 
-    def partition_days(times: Array, inv_width: float
-                       ) -> tuple[Array, Array, Array, Array]:
-        return _partition_days(times, inv_width)
-
     return types.SimpleNamespace(
         name="numba",
         hash_avalanche=hash_avalanche,
@@ -215,5 +190,4 @@ def load() -> types.SimpleNamespace:
         arena_ranges=arena_ranges,
         marks_word_bytes=marks_word_bytes,
         unpack_bits=unpack_bits,
-        partition_days=partition_days,
     )

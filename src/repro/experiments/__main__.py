@@ -91,7 +91,7 @@ def _kernel_summary(outcome) -> str | None:
             if key.startswith(("dp_", "net_")):
                 continue  # reported by the data-plane / network lines
             if isinstance(value, str):
-                # Mode labels (e.g. sched_mode, be_engine) aggregate as
+                # Mode labels (e.g. be_engine) aggregate as
                 # the set of distinct values, not a sum.
                 labels.setdefault(key, set()).add(value)
             elif key in ("heap_peak", "be_warmup_seconds"):

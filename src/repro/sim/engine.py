@@ -12,7 +12,7 @@ a priority class.
 
 Fast paths
 ----------
-Two kernel optimisations shrink the constant factor without changing a
+Three kernel optimisations shrink the constant factor without changing a
 single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
 
 * **grant-and-hold events** — :meth:`repro.sim.resources.Resource.use`
@@ -38,30 +38,6 @@ single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
 Set ``REPRO_FASTPATH=0`` to disable the grant-and-hold lane (the run
 loop then never sees a held event); the golden parity tests exercise
 both modes.
-
-Scheduler selection (``REPRO_SCHED``)
--------------------------------------
-``REPRO_SCHED=calendar`` (the default) replaces the binary heap with
-the calendar queue of :mod:`repro.sim.calendar`: same-timestamp events
-share one cohort bucket, only distinct times are ordered, and the run
-loop fires whole cohorts off a single dequeue.  Two further layers ride
-on it (see DESIGN.md §11):
-
-* **cohort firing** — a multi-event cohort is fired straight off its
-  bucket when the tie auditor's site classification
-  (:mod:`repro.analysis.audit`) calls its signature benign; suspect
-  signatures take a sequenced per-event path that re-consults the full
-  queue between fires, exactly like :meth:`step`.  Both orders are the
-  heap's order; the gate only decides how defensively it is replayed.
-  ``REPRO_SCHED_COHORT=0`` forces the sequenced path everywhere.
-* **slab-allocated events** — grant-and-hold events (the large
-  majority of all fired events) are recycled through a per-simulator
-  free list instead of being reallocated, and their callback lists are
-  cleared in place rather than swapped.
-
-``REPRO_SCHED=heap`` restores the classic scheduler unchanged.  Either
-way every simulated timestamp is bit-identical — enforced by the
-golden parity suite and the ``repro.verify.matrix`` mode cube.
 """
 
 from __future__ import annotations
@@ -72,7 +48,6 @@ import heapq
 import os
 import typing
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -82,16 +57,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-
-#: Recycled grant-and-hold events kept per simulator (slab pool).
-#: Covers the steady-state in-flight population at every paper scale;
-#: the cap only bounds pathological fan-out.
-_EVENT_POOL_CAP = 512
-
-#: Sentinel "no active cohort bucket" for the calendar drains: keeps
-#: the hot-loop local non-Optional (mypy strict) with the same
-#: identity test the Optional form would use.  Never mutated.
-_NO_BUCKET: list = []
 
 
 class SimulationError(RuntimeError):
@@ -129,33 +94,6 @@ class Simulator:
         self._crashed: list[Process] = []
         #: Grant-and-hold lane switch (see module docstring).
         self.fastpath: bool = os.environ.get("REPRO_FASTPATH", "1") != "0"
-        #: Scheduler selection (see module docstring): ``calendar``
-        #: (default) or ``heap``.
-        sched = os.environ.get("REPRO_SCHED", "calendar").strip().lower()
-        if sched not in ("calendar", "heap"):
-            raise ValueError(
-                f"REPRO_SCHED must be 'calendar' or 'heap', got {sched!r}")
-        self.sched: str = sched
-        if sched == "calendar":
-            width = os.environ.get("REPRO_SCHED_WIDTH", "").strip()
-            self._calendar: CalendarQueue | None = CalendarQueue(
-                width=float(width) if width else None)
-        else:
-            self._calendar = None
-        #: Slab pool of fired grant-and-hold events awaiting reuse
-        #: (filled by the calendar run loop, drained by Resource.use).
-        self._event_pool: list[Event] = []
-        #: Cohort-firing gate; ``REPRO_SCHED_COHORT=0`` forces the
-        #: sequenced path at every multi-event cohort.
-        self._cohort_fire: bool = (
-            os.environ.get("REPRO_SCHED_COHORT", "1") != "0")
-        #: Lazily bound signature classifier (repro.analysis.audit,
-        #: plus the static certificate table when REPRO_SCHED_CERTS is
-        #: set — see DESIGN.md §12) and its per-signature verdict
-        #: cache.  Verdicts: 0 sequence, 1 batch, 2 batch+cross-check.
-        self._cohort_benign_fn: typing.Callable[[list, int, int],
-                                                int] | None = None
-        self._cohort_cache: dict[str, int] = {}
         #: Event-tie auditor (``REPRO_AUDIT=1``, see DESIGN.md §8 and
         #: repro.analysis.audit).  Observes same-(time, priority) heap
         #: pops; never changes pop order.  Lazily imported so the
@@ -177,25 +115,8 @@ class Simulator:
         #: Grant-and-hold re-keys taken instead of full grant+timeout
         #: event pairs (fast-path hits).
         self.fastpath_holds = 0
-        #: High-water mark of the event queue (heap or calendar).
+        #: High-water mark of the event queue (heap plus urgent lane).
         self.heap_peak = 0
-        #: Multi-event cohorts dequeued by the calendar run loop, and
-        #: the events they contained.
-        self.sched_cohorts = 0
-        self.sched_cohort_events = 0
-        #: Cohorts routed through the sequenced (per-event) path —
-        #: suspect signatures plus everything under REPRO_SCHED_COHORT=0.
-        self.sched_sequenced_cohorts = 0
-        #: Events parked on the slab pool for reuse.
-        self.sched_pool_recycles = 0
-        #: Cohorts batch-fired only because the static certificate
-        #: table vouched for them (``REPRO_SCHED_CERTS``, DESIGN.md
-        #: §12) — the runtime signature gate alone would have
-        #: sequenced them.
-        self.sched_cert_upgrades = 0
-        #: Certified-commutative cohorts fired through the
-        #: cross-checked path (``REPRO_SCHED_CERTS=check``).
-        self.sched_cert_checked = 0
 
     # -- event factories ----------------------------------------------------
 
@@ -241,23 +162,13 @@ class Simulator:
                 raise ValueError(
                     "URGENT events must be delay-0 (urgent-lane "
                     f"invariant); got delay={delay!r}")
-            urgent = self._urgent
-            urgent.append(event)
-            pending = self.queued_events
+            self._urgent.append(event)
         else:
-            calendar = self._calendar
-            if calendar is not None:
-                # Appending to the (time, priority) cohort bucket here
-                # — at the exact moment the heap path would allocate
-                # its sequence number — is what keeps bucket order
-                # identical to sequence order (see repro.sim.calendar).
-                calendar.insert(self.now + delay, priority, event)
-            else:
-                self._sequence += 1
-                heapq.heappush(
-                    self._heap,
-                    (self.now + delay, priority, self._sequence, event))
-            pending = self.queued_events
+            self._sequence += 1
+            heapq.heappush(
+                self._heap,
+                (self.now + delay, priority, self._sequence, event))
+        pending = self.queued_events
         if pending > self.heap_peak:
             self.heap_peak = pending
 
@@ -268,19 +179,7 @@ class Simulator:
             "fastpath_holds": self.fastpath_holds,
             "heap_peak": self.heap_peak,
             "queued_events": self.queued_events,
-            "sched_mode": self.sched,
-            "sched_cohorts": self.sched_cohorts,
-            "sched_cohort_events": self.sched_cohort_events,
-            "sched_sequenced_cohorts": self.sched_sequenced_cohorts,
-            "sched_event_pool_reuses": self.sched_pool_recycles,
-            "sched_cert_upgrades": self.sched_cert_upgrades,
-            "sched_cert_checked": self.sched_cert_checked,
         }
-        calendar = self._calendar
-        if calendar is not None:
-            counters["sched_calendar_engages"] = calendar.engages
-            counters["sched_calendar_resizes"] = calendar.resizes
-            counters["sched_day_index"] = int(calendar.day_mode)
         if self.auditor is not None:
             counters.update(self.auditor.counters())
         return counters
@@ -302,21 +201,11 @@ class Simulator:
         """
         heap = self._heap
         urgent = self._urgent
-        calendar = self._calendar
         while True:
             if urgent:
                 event = urgent.popleft()
                 from_heap = False
                 priority = PRIORITY_URGENT
-            elif calendar is not None:
-                try:
-                    when, priority, event = calendar.pop()
-                except IndexError:
-                    raise SimulationError("nothing scheduled") from None
-                if when < self.now:  # pragma: no cover - _schedule guards
-                    raise SimulationError("time moved backwards")
-                self.now = when
-                from_heap = True
             elif heap:
                 when, priority, _seq, event = heapq.heappop(heap)
                 if when < self.now:  # pragma: no cover - _schedule guards
@@ -328,13 +217,9 @@ class Simulator:
             hold = event._hold
             if hold is not None:
                 event._hold = None
-                if calendar is not None:
-                    calendar.insert(self.now + hold, PRIORITY_NORMAL,
-                                    event)
-                else:
-                    self._sequence += 1
-                    heapq.heappush(heap, (self.now + hold, PRIORITY_NORMAL,
-                                          self._sequence, event))
+                self._sequence += 1
+                heapq.heappush(heap, (self.now + hold, PRIORITY_NORMAL,
+                                      self._sequence, event))
                 self.fastpath_holds += 1
                 continue
             # Urgent-lane pops are excluded by design: that lane is
@@ -343,14 +228,10 @@ class Simulator:
             # flag is *coexistence*: the next queue entry shares this
             # key right now, before this event fires — an entry this
             # fire schedules at the same instant is causally ordered,
-            # not tied.  (For the calendar that is exactly "the popped
-            # cohort bucket still holds events".)
+            # not tied.
             if from_heap and self.auditor is not None:
-                if calendar is not None:
-                    tied = calendar.peek_key() == (self.now, priority)
-                else:
-                    tied = (bool(heap) and heap[0][0] == self.now
-                            and heap[0][1] == priority)
+                tied = (bool(heap) and heap[0][0] == self.now
+                        and heap[0][1] == priority)
                 self.auditor.record(self.now, priority, event, tied)
             event._fire()
             self.events_fired += 1
@@ -367,16 +248,19 @@ class Simulator:
         ProcessCrash
             If any process terminates with an unhandled exception the
             error propagates out of ``run`` immediately (fail fast).
+        ValueError
+            If ``until`` lies before the current simulated time.
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run into the past: until={until!r} is before "
+                f"now={self.now!r}")
         if self.auditor is not None or self.verify:
             # The audited/verified path pays for observability with the
             # plain step() loop; simulated times are identical either
             # way (the auditor only watches pops, it never reorders
             # them, and step() checks the clock never moves backwards).
             self._run_audited(until)
-            return
-        if self._calendar is not None:
-            self._run_calendar(until)
             return
         # Inlined pop/fire cycle — semantically identical to calling
         # step() in a loop, with the hot locals hoisted and the
@@ -464,543 +348,6 @@ class Simulator:
             self.events_fired += events_fired
             self.fastpath_holds += holds
 
-    def _run_calendar(self, until: float | None = None) -> None:
-        """Inlined run loop for the calendar scheduler.
-
-        The urgent FIFO lane drains first, as everywhere in the kernel;
-        otherwise the loop walks the *active cohort* — the bucket it
-        dequeued for the current ``(time, NORMAL)`` key — one event per
-        iteration, and pops the next distinct time only when the cohort
-        is exhausted.  Same-key events scheduled by a cohort member
-        land in a fresh bucket at the same timestamp and fire after the
-        active cohort — exactly the causal-follower order the heap's
-        sequence counter produces.
-
-        Cohort firing never reorders anything: the benign/suspect gate
-        (DESIGN.md §11) only chooses between this local bucket walk and
-        the fully generic per-event path at multi-event sites the
-        tie-auditor classification cannot vouch for.
-
-        Fired grant-and-hold events are parked on the slab pool for
-        Resource.use to reuse, and their callback lists are cleared in
-        place rather than swapped (appends during a fire are dropped
-        either way — a fired event never runs late callbacks), so the
-        list object is recycled along with the event.
-
-        Two inlined drains serve the fastpath-on configuration: the
-        flat-index loop (paper-scale populations, native float heap)
-        and a mirror loop for day-index mode (wide pending sets, O(1)
-        index maintenance through the calendar's methods), switching
-        on engagement/disengagement.  Bounded runs and fastpath-off
-        runs (urgent events then live in the calendar's own urgent
-        buckets) finish on the generic step() drain.
-        """
-        calendar = self._calendar
-        assert calendar is not None
-        urgent = self._urgent
-        urgent_popleft = urgent.popleft
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        crashed = self._crashed
-        cohort_fire = self._cohort_fire
-        event_pool = self._event_pool
-        bucket_pool = calendar.bucket_pool
-        normal = calendar.normal
-        events_fired = 0
-        holds = 0
-        recycles = 0
-        cohorts = 0
-        cohort_events = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if until is not None:
-                # Bounded runs are diagnostics-rate; mirror run()'s
-                # semantics on the generic machinery: urgent events
-                # fire at the current instant (<= until), only a time
-                # advance can pass the bound, and a drained queue
-                # leaves the clock at the last fired event.
-                while True:
-                    if not urgent:
-                        head = calendar.peek_time()
-                        if head is None:
-                            return
-                        if head > until:
-                            self.now = until
-                            return
-                    self.step()
-            normal_setdefault = normal.setdefault
-            normal_pop = normal.pop
-            bucket: list = _NO_BUCKET
-            index = 1
-            size = 1
-            running = self.fastpath
-            while running:
-                if calendar.day_mode:
-                    # ---- day-index drain ------------------------------
-                    # Mirror of the flat loop below: identical dispatch,
-                    # cohort gate and slab recycling, but the time index
-                    # lives behind the calendar's O(1) day-index methods
-                    # (peek_time / _index_remove_current / insert)
-                    # instead of the inlined float heap.  Entered after
-                    # an engagement; hands back to the flat loop on
-                    # disengage.
-                    peek_time = calendar.peek_time
-                    index_remove = calendar._index_remove_current
-                    insert = calendar.insert
-                    while True:
-                        if urgent:
-                            event = urgent_popleft()
-                            hold = event._hold
-                            if hold is not None:
-                                event._hold = None
-                                insert(self.now + hold, PRIORITY_NORMAL,
-                                       event)
-                                holds += 1
-                                continue
-                        elif index < size:
-                            event = bucket[index]
-                            index += 1
-                        else:
-                            if bucket is not _NO_BUCKET:
-                                if len(bucket_pool) < 64:
-                                    del bucket[1:]
-                                    bucket[0] = 1
-                                    bucket_pool.append(bucket)
-                                bucket = _NO_BUCKET
-                            if not calendar.day_mode:
-                                break  # disengaged: back to flat loop
-                            when = peek_time()
-                            if when is None:
-                                running = False
-                                break
-                            entry = normal_pop(when)
-                            index_remove()
-                            self.now = when
-                            if type(entry) is list:
-                                index = entry[0]
-                                size = len(entry)
-                                if size - index > 1:
-                                    cohorts += 1
-                                    cohort_events += size - index
-                                    verdict = (self._cohort_benign(
-                                        entry, index, size)
-                                        if cohort_fire else 0)
-                                    if not verdict:
-                                        self.sched_sequenced_cohorts += 1
-                                        entry[0] = index
-                                        normal[when] = entry
-                                        calendar._index_add(when)
-                                        index = size = 1
-                                        self._fire_time_sequenced(when)
-                                        continue
-                                    if verdict == 2:
-                                        calendar.n_events -= size - index
-                                        self._fire_cohort_checked(
-                                            entry, index, size)
-                                        index = size = 1
-                                        continue
-                                calendar.n_events -= size - index
-                                bucket = entry
-                                event = entry[index]
-                                index += 1
-                            else:
-                                calendar.n_events -= 1
-                                event = entry
-                        event._fired = True
-                        callbacks = event.callbacks
-                        n_callbacks = len(callbacks)
-                        if n_callbacks == 2:
-                            first, second = callbacks
-                            del callbacks[:]
-                            first(event)
-                            second(event)
-                        elif n_callbacks == 1:
-                            first = callbacks[0]
-                            del callbacks[:]
-                            first(event)
-                        elif n_callbacks:
-                            snapshot = callbacks[:]
-                            del callbacks[:]
-                            for callback in snapshot:
-                                callback(event)
-                        events_fired += 1
-                        if (event._pool and not callbacks
-                                and len(event_pool) < _EVENT_POOL_CAP):
-                            event_pool.append(event)
-                            recycles += 1
-                        if crashed:
-                            raise crashed[0].crash_error
-                    continue
-                # ---- flat-index drain ---------------------------------
-                times = calendar.times
-                while True:
-                    if urgent:
-                        event = urgent_popleft()
-                        hold = event._hold
-                        if hold is not None:
-                            # Grant-and-hold re-key: the bucket append
-                            # happens at the exact moment the heap path
-                            # would allocate the re-key's sequence
-                            # number, so in-bucket order stays sequence
-                            # order (see repro.sim.calendar).  Inline
-                            # re-keys skip the engage check —
-                            # engagement waits for the next generic
-                            # insert, and the overshoot is bounded by
-                            # the in-flight hold population.
-                            event._hold = None
-                            when = self.now + hold
-                            target = normal_setdefault(when, event)
-                            if target is event:
-                                heappush(times, when)
-                            elif type(target) is list:
-                                target.append(event)
-                            else:
-                                if bucket_pool:
-                                    upgrade = bucket_pool.pop()
-                                    upgrade.append(target)
-                                    upgrade.append(event)
-                                else:
-                                    upgrade = [1, target, event]
-                                normal[when] = upgrade
-                            calendar.n_events += 1
-                            holds += 1
-                            continue
-                    elif index < size:
-                        event = bucket[index]
-                        index += 1
-                    else:
-                        if bucket is not _NO_BUCKET:
-                            if len(bucket_pool) < 64:
-                                del bucket[1:]
-                                bucket[0] = 1
-                                bucket_pool.append(bucket)
-                            bucket = _NO_BUCKET
-                        if calendar.day_mode:
-                            # A callback-driven insert engaged the day
-                            # index mid-loop.  _engage_days clears the
-                            # flat heap in place, so anything in it now
-                            # was pushed by the inline re-key above
-                            # since engagement: re-register those times
-                            # with the day index, then hand over to the
-                            # day-index drain.
-                            for leftover in times:
-                                calendar._index_add(leftover)
-                            del times[:]
-                            break
-                        if not times:
-                            running = False
-                            break
-                        when = heappop(times)
-                        entry = normal_pop(when)
-                        self.now = when
-                        if type(entry) is list:
-                            index = entry[0]
-                            size = len(entry)
-                            if size - index > 1:
-                                cohorts += 1
-                                cohort_events += size - index
-                                verdict = (self._cohort_benign(
-                                    entry, index, size)
-                                    if cohort_fire else 0)
-                                if not verdict:
-                                    # Suspect signature (or gate off):
-                                    # replay through the generic
-                                    # per-event path, which re-consults
-                                    # the whole queue between fires
-                                    # exactly like step().  Same order,
-                                    # defensively.
-                                    self.sched_sequenced_cohorts += 1
-                                    entry[0] = index
-                                    normal[when] = entry
-                                    heappush(times, when)
-                                    index = size = 1
-                                    self._fire_time_sequenced(when)
-                                    continue
-                                if verdict == 2:
-                                    # Certified-commutative cohort under
-                                    # REPRO_SCHED_CERTS=check: batch in
-                                    # order, attributing kernel-object
-                                    # traffic per member.
-                                    calendar.n_events -= size - index
-                                    self._fire_cohort_checked(
-                                        entry, index, size)
-                                    index = size = 1
-                                    continue
-                            # The whole cohort leaves the pending count
-                            # now, like a heap pop — its members fire
-                            # over the next iterations.
-                            calendar.n_events -= size - index
-                            bucket = entry
-                            event = entry[index]
-                            index += 1
-                        else:
-                            # Singleton cohort: the entry *is* the
-                            # event — fall straight through to
-                            # dispatch, no bucket bookkeeping at all.
-                            calendar.n_events -= 1
-                            event = entry
-                    event._fired = True
-                    callbacks = event.callbacks
-                    n_callbacks = len(callbacks)
-                    if n_callbacks == 2:
-                        # The grant-and-hold shape: [release, resume].
-                        first, second = callbacks
-                        del callbacks[:]
-                        first(event)
-                        second(event)
-                    elif n_callbacks == 1:
-                        first = callbacks[0]
-                        del callbacks[:]
-                        first(event)
-                    elif n_callbacks:
-                        snapshot = callbacks[:]
-                        del callbacks[:]
-                        for callback in snapshot:
-                            callback(event)
-                    events_fired += 1
-                    if (event._pool and not callbacks
-                            and len(event_pool) < _EVENT_POOL_CAP):
-                        event_pool.append(event)
-                        recycles += 1
-                    if crashed:
-                        raise crashed[0].crash_error
-            # Generic drain (see docstring).
-            while urgent or calendar.peek_time() is not None:
-                self.step()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self.events_fired += events_fired
-            self.fastpath_holds += holds
-            self.sched_cohorts += cohorts
-            self.sched_cohort_events += cohort_events
-            self.sched_pool_recycles += recycles
-
-    def _fire_time_sequenced(self, when: float) -> None:
-        """Fire everything at instant ``when`` one generic step at a
-        time — the cohort gate's conservative path."""
-        urgent = self._urgent
-        calendar = self._calendar
-        assert calendar is not None
-        while urgent or calendar.peek_time() == when:
-            self.step()
-
-    def _cohort_benign(self, bucket: list, start: int, end: int) -> int:
-        """Cohort gate verdict: how may this multi-event cohort fire?
-
-        * ``0`` — sequence through the generic per-event path.
-        * ``1`` — batch-fire via the local bucket walk.
-        * ``2`` — batch-fire with the per-member kernel-object
-          cross-check (:meth:`_fire_cohort_checked`).
-
-        Reuses the tie auditor's site classification (DESIGN.md §8 and
-        §11): the sorted set of normalised event labels forms the
-        cohort's signature; single-label cohorts, cohorts of
-        accounted-for kernel labels (``DEFAULT_BENIGN_LABELS``) and
-        ``REPRO_AUDIT_ALLOW``-matched signatures are benign.  With
-        ``REPRO_SCHED_CERTS`` set, the static certificate table
-        (repro.analysis.effects, DESIGN.md §12) additionally upgrades
-        statically *batchable* cohorts the runtime gate would have
-        sequenced, and — in ``check`` mode — routes certified-
-        *commutative* cohorts through the cross-checked path.
-        Verdicts are cached per signature.
-        """
-        benign = self._cohort_benign_fn
-        if benign is None:
-            benign = self._init_cohort_gate()
-        return benign(bucket, start, end)
-
-    def _init_cohort_gate(self) -> typing.Callable[[list, int, int], int]:
-        # Lazily imported on the first multi-event cohort, so the
-        # analysis package costs nothing before that.
-        from repro.analysis.audit import (
-            SEPARATOR,
-            event_label,
-            normalise,
-            signature_is_benign,
-        )
-        raw = os.environ.get("REPRO_AUDIT_ALLOW", "")
-        allow = tuple(part.strip() for part in raw.split(";")
-                      if part.strip())
-        # REPRO_SCHED_CERTS: unset/"0" off; "1" the committed table;
-        # "check" the committed table with runtime cross-checking;
-        # "check:<path>"/<path> an explicit table file.
-        certs = os.environ.get("REPRO_SCHED_CERTS", "").strip()
-        table = None
-        check_mode = False
-        if certs and certs != "0":
-            from repro.analysis.effects import load_table
-            path: str | None = None
-            if certs == "1":
-                pass
-            elif certs == "check":
-                check_mode = True
-            elif certs.startswith("check:"):
-                check_mode = True
-                path = certs[len("check:"):]
-            else:
-                path = certs
-            table = load_table(path)
-        cache = self._cohort_cache
-        sim = self
-
-        # Raw label -> normalised label memo: label extraction runs per
-        # cohort event, but the distinct label population is bounded by
-        # the process/resource count, so the regex runs once per label.
-        norm_memo: dict[str, str] = {}
-        # Owner -> normalised label memo, keyed by the bound-method
-        # owner of an event's first callback.  Owners that precompute
-        # ``audit_label`` (processes, resources) determine their label
-        # outright, so the gate can skip ``event_label`` entirely for
-        # them — one getattr and a dict hit per cohort member.  Keys
-        # are the owner objects themselves (alive for the whole run),
-        # and the dict is never iterated, so identity hashing cannot
-        # leak into simulated order.
-        owner_memo: dict[typing.Any, str] = {}
-
-        def norm_of(event: typing.Any) -> str:
-            callbacks = event.callbacks
-            owner = (getattr(callbacks[0], "__self__", None)
-                     if callbacks else None)
-            if owner is not None:
-                norm = owner_memo.get(owner)
-                if norm is not None:
-                    return norm
-            label = event_label(event)
-            norm = norm_memo.get(label)
-            if norm is None:
-                norm = norm_memo[label] = normalise(label)
-            if (owner is not None
-                    and getattr(owner, "audit_label", None) is not None):
-                owner_memo[owner] = norm
-            return norm
-
-        def benign(bucket: list, start: int, end: int) -> int:
-            # Homogeneous fast path: cohorts whose members all carry
-            # one normalised label are benign by definition (symmetric
-            # peers) — no signature set/sort/join, just per-member
-            # memo lookups.  ``normalised`` materialises lazily on the
-            # first differing label.
-            first = norm_of(bucket[start])
-            normalised: set[str] | None = None
-            for k in range(start + 1, end):
-                norm = norm_of(bucket[k])
-                if normalised is not None:
-                    normalised.add(norm)
-                elif norm != first:
-                    normalised = {first, norm}
-            if normalised is None:
-                return 1
-            labels = sorted(normalised)
-            signature = SEPARATOR.join(labels)
-            # Cached verdicts carry the upgrade provenance: 3/4 are
-            # the cert-upgraded variants of batch/checked, folded to
-            # 1/2 after per-cohort accounting.
-            verdict = cache.get(signature)
-            if verdict is None:
-                runtime = signature_is_benign(
-                    labels, signature, benign_signatures=allow)
-                if table is None:
-                    verdict = 1 if runtime else 0
-                else:
-                    batchable, commutative = table.classify(labels)
-                    upgraded = batchable and not runtime
-                    if check_mode and commutative:
-                        verdict = 4 if upgraded else 2
-                    elif runtime or batchable:
-                        verdict = 3 if upgraded else 1
-                    else:
-                        verdict = 0
-                cache[signature] = verdict
-            if verdict >= 3:
-                sim.sched_cert_upgrades += 1
-                return verdict - 2
-            return verdict
-
-        self._cohort_benign_fn = benign
-        return benign
-
-    def _fire_cohort_checked(self, bucket: list, start: int,
-                             end: int) -> None:
-        """Batch-fire a certified-commutative cohort, cross-checking
-        the certificate against observed kernel-object traffic.
-
-        Members fire in the same order as the batch walk, with the
-        urgent lane drained between members exactly like the inlined
-        drains — but every urgent event (resource grants, store
-        handoffs, hold re-keys) is attributed to the cohort member
-        whose fire produced it, via the bound-method owner of its
-        first callback.  One kernel object surfacing under two
-        distinct members means the members interacted through queue
-        state the certificate called disjoint: the run aborts with a
-        structured :class:`repro.analysis.effects.CertificateError`
-        (the scheduler analogue of a repro.verify invariant failure).
-        This is a detector for certificate bugs, not a prover —
-        conflicts through plain attribute state are not observable
-        from the kernel.
-        """
-        calendar = self._calendar
-        assert calendar is not None
-        urgent = self._urgent
-        crashed = self._crashed
-        # Labels are captured before any member fires: firing clears
-        # an event's callbacks, which is exactly what labelling reads.
-        from repro.analysis.audit import event_label
-        labels = [event_label(bucket[k]) for k in range(start, end)]
-        # Keyed by the kernel object itself (identity hash): membership
-        # is all that matters, never order, and the strong reference
-        # pins the object for the cohort's duration.
-        owners: dict[object, int] = {}
-        for position in range(start, end):
-            member = bucket[position]
-            member._fire()
-            self.events_fired += 1
-            if crashed:
-                raise crashed[0].crash_error
-            while urgent:
-                pending = urgent.popleft()
-                callbacks = pending.callbacks
-                owner = (getattr(callbacks[0], "__self__", None)
-                         if callbacks else None)
-                if owner is not None:
-                    seen = owners.get(owner)
-                    if seen is None:
-                        owners[owner] = position
-                    elif seen != position:
-                        self._certificate_conflict(
-                            labels, seen - start, position - start,
-                            owner)
-                hold = pending._hold
-                if hold is not None:
-                    pending._hold = None
-                    calendar.insert(self.now + hold, PRIORITY_NORMAL,
-                                    pending)
-                    self.fastpath_holds += 1
-                    continue
-                pending._fired = True
-                if callbacks:
-                    pending.callbacks = []
-                    for callback in callbacks:
-                        callback(pending)
-                self.events_fired += 1
-                if crashed:
-                    raise crashed[0].crash_error
-        self.sched_cert_checked += 1
-
-    def _certificate_conflict(self, labels: list[str], first: int,
-                              second: int,
-                              owner: object) -> typing.NoReturn:
-        """Raise the structured certified-but-conflicting error."""
-        from repro.analysis.audit import SEPARATOR, normalise
-        from repro.analysis.effects import CertificateError
-        signature = SEPARATOR.join(
-            sorted({normalise(label) for label in labels}))
-        raise CertificateError(
-            signature, self.now, repr(owner),
-            (labels[first], labels[second]))
-
     def _run_audited(self, until: float | None = None) -> None:
         """step()-based run loop used when the tie auditor is on.
 
@@ -1021,52 +368,33 @@ class Simulator:
         """
         heap = self._heap
         urgent = self._urgent
-        calendar = self._calendar
         auditor = self.auditor
         reverse = auditor is not None and auditor.reverse_ties
         while True:
             if not urgent:
-                if calendar is not None:
-                    head = calendar.peek_time()
-                    if head is None:
-                        break
-                elif heap:
-                    head = heap[0][0]
-                else:
+                if not heap:
                     break
-                if until is not None and head > until:
+                if until is not None and heap[0][0] > until:
                     self.now = until
                     return
             if urgent or not reverse:
                 self.step()
                 continue
             # Reverse mode: collect the whole same-key batch first.
-            if calendar is not None:
-                when, priority, event = calendar.pop()
-            else:
-                when, priority, _seq, event = heapq.heappop(heap)
+            when, priority, _seq, event = heapq.heappop(heap)
             self.now = when
             batch: list[Event] = []
             while True:
                 hold = event._hold
                 if hold is not None:
                     event._hold = None
-                    if calendar is not None:
-                        calendar.insert(when + hold, PRIORITY_NORMAL,
-                                        event)
-                    else:
-                        self._sequence += 1
-                        heapq.heappush(
-                            heap, (when + hold, PRIORITY_NORMAL,
-                                   self._sequence, event))
+                    self._sequence += 1
+                    heapq.heappush(
+                        heap, (when + hold, PRIORITY_NORMAL,
+                               self._sequence, event))
                     self.fastpath_holds += 1
                 else:
                     batch.append(event)
-                if calendar is not None:
-                    if calendar.peek_key() == (when, priority):
-                        _when, _priority, event = calendar.pop()
-                        continue
-                    break
                 if (heap and heap[0][0] == when
                         and heap[0][1] == priority):
                     _when, _priority, _seq, event = heapq.heappop(heap)
@@ -1099,14 +427,10 @@ class Simulator:
                     hold = pending._hold
                     if hold is not None:
                         pending._hold = None
-                        if calendar is not None:
-                            calendar.insert(self.now + hold,
-                                            PRIORITY_NORMAL, pending)
-                        else:
-                            self._sequence += 1
-                            heapq.heappush(
-                                heap, (self.now + hold, PRIORITY_NORMAL,
-                                       self._sequence, pending))
+                        self._sequence += 1
+                        heapq.heappush(
+                            heap, (self.now + hold, PRIORITY_NORMAL,
+                                   self._sequence, pending))
                         self.fastpath_holds += 1
                         continue
                     pending._fire()
@@ -1121,14 +445,9 @@ class Simulator:
         """Number of events waiting to fire (diagnostics only).
 
         O(1) — ``_schedule`` reads this on every call for the
-        ``heap_peak`` high-water mark, so it must not scan the queue
-        (a bucket scan here once made wide-pending calendar runs
-        accidentally quadratic).
+        ``heap_peak`` high-water mark.
         """
-        calendar = self._calendar
-        pending = (calendar.n_events if calendar is not None
-                   else len(self._heap))
-        return pending + len(self._urgent)
+        return len(self._heap) + len(self._urgent)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Simulator now={self.now:.6f} "

@@ -39,7 +39,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_fired", "_hold", "_serial", "_pool")
+                 "_fired", "_hold", "_serial")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -56,11 +56,6 @@ class Event:
         # heap pop re-keys this event ``_hold`` seconds later instead
         # of firing it — the grant-and-hold lane of Resource.use.
         self._hold: float | None = None
-        # Slab-pool flag (see DESIGN.md §11): True only for the
-        # kernel-owned events minted by Resource.use (grant-and-hold)
-        # and Store.get, which the calendar run loop recycles through
-        # Simulator._event_pool after their callbacks have run.
-        self._pool = False
 
     # -- state inspection -------------------------------------------------
 

@@ -57,8 +57,8 @@ class Process(Event):
         self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         #: Precomputed tie-audit label (see repro.analysis.audit
-        #: .event_label) — resumes of this process are labelled at
-        #: kernel rate by the cohort-fire gate.
+        #: .event_label) — resumes of this process are labelled once
+        #: per audited pop.
         self.audit_label = f"{type(self).__name__.lower()}:{self.name}"
         self.crash_error: ProcessCrash | None = None
         # Kick off the process at the current instant.

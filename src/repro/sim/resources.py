@@ -56,7 +56,7 @@ class Resource:
         self.name = name
         #: Precomputed tie-audit label (see repro.analysis.audit
         #: .event_label) — hold expiries of this resource are labelled
-        #: at kernel rate by the cohort-fire gate.
+        #: once per audited pop.
         self.audit_label = f"{type(self).__name__.lower()}:{name}"
         self._in_use = 0
         #: FIFO of (event, grant) waiters; fast-path holds queue with
@@ -127,35 +127,16 @@ class Resource:
         sim = self.sim
         if not sim.fastpath:
             return self._use_classic(duration)
-        pool = sim._event_pool
-        if pool:
-            # Slab lane (DESIGN.md §11): reuse a fired grant-and-hold
-            # event.  The calendar run loop only parks events whose
-            # callbacks have run and whose (cleared-in-place) callback
-            # list is empty, so just the per-use fields need resetting
-            # — the list object itself is recycled too.
-            event = pool.pop()
-            sim._event_serial = event._serial = sim._event_serial + 1
-            event.callbacks.append(self._release_cb)
-            # A recycled Store.get event still carries its delivered
-            # item; a hold event must fire with None (PEP 380 sends it
-            # into the plain tuple ``yield from``).
-            event._value = None
-            event._fired = False
-            event._hold = duration
-        else:
-            # Inlined Event(sim) + _hold setup (one Python frame per
-            # use saved on the kernel's single hottest allocation
-            # site).
-            event = Event.__new__(Event)
-            event.sim = sim
-            sim._event_serial = event._serial = sim._event_serial + 1
-            event.callbacks = [self._release_cb]
-            event._value = None
-            event._ok = True
-            event._fired = False
-            event._hold = duration
-            event._pool = True
+        # Inlined Event(sim) + _hold setup (one Python frame per use
+        # saved on the kernel's single hottest allocation site).
+        event = Event.__new__(Event)
+        event.sim = sim
+        sim._event_serial = event._serial = sim._event_serial + 1
+        event.callbacks = [self._release_cb]
+        event._value = None
+        event._ok = True
+        event._fired = False
+        event._hold = duration
         # Busy time is credited as the hold duration up front: every
         # use() holds for exactly ``duration`` once granted, so the sum
         # of durations equals the in_use-integral the classic
@@ -286,23 +267,13 @@ class Store:
             return event
         # Inlined Event(sim) + urgent-lane succeed (one mailbox get per
         # delivered message makes this a kernel-rate allocation site).
-        # Like use()'s grant-and-hold events, get events are owned by
-        # the kernel once fired (their value is consumed synchronously
-        # by the resumed process), so they share the slab pool.
-        pool = sim._event_pool
-        if pool:
-            event = pool.pop()
-            sim._event_serial = event._serial = sim._event_serial + 1
-            event._fired = False
-        else:
-            event = Event.__new__(Event)
-            event.sim = sim
-            sim._event_serial = event._serial = sim._event_serial + 1
-            event.callbacks = []
-            event._ok = True
-            event._fired = False
-            event._hold = None
-            event._pool = True
+        event = Event.__new__(Event)
+        event.sim = sim
+        sim._event_serial = event._serial = sim._event_serial + 1
+        event.callbacks = []
+        event._ok = True
+        event._fired = False
+        event._hold = None
         if self._items:
             self.total_gets += 1
             event._triggered = True

@@ -1,12 +1,11 @@
 """Differential mode-matrix harness (``repro.verify.matrix``).
 
 The simulator has three performance planes that must not change any
-simulated result: the event scheduler (``REPRO_SCHED``:
-calendar queue vs classic binary heap), the vectorized page-batch
-data plane (``REPRO_VECTOR``) and the event-loop urgent fastpath
+simulated result: the vectorized page-batch data plane
+(``REPRO_VECTOR``), the event-loop urgent fastpath
 (``REPRO_FASTPATH``) and the columnar relation storage
 (``REPRO_COLUMNAR``).  This module runs one workload through the full
-sixteen-combination cube — each on a fresh machine, with the
+eight-combination cube — each on a fresh machine, with the
 conformance monitor (``REPRO_VERIFY=1``) active — and asserts that
 every mode produces **bit-identical** response times and per-phase
 timings.  Any
@@ -35,23 +34,21 @@ import typing
 
 from repro.verify import ConformanceError
 
-#: (sched, vector, fastpath, columnar) combinations — the full cube,
-#: the all-defaults reference combo first.
-MODES: tuple[tuple[str, int, int, int], ...] = tuple(
-    (sched, vector, fastpath, columnar)
-    for sched in ("calendar", "heap")
+#: (vector, fastpath, columnar) combinations — the full cube, the
+#: all-defaults reference combo first.
+MODES: tuple[tuple[int, int, int], ...] = tuple(
+    (vector, fastpath, columnar)
     for vector in (1, 0)
     for fastpath in (1, 0)
     for columnar in (1, 0))
 
 
 @contextlib.contextmanager
-def mode_env(sched: str, vector: int, fastpath: int,
+def mode_env(vector: int, fastpath: int,
              verify: bool = True,
              columnar: int | None = None,
              compiled: str | None = None) -> typing.Iterator[None]:
-    """Pin the scheduler/data-plane/fastpath/verify environment for
-    one run.
+    """Pin the data-plane/fastpath/verify environment for one run.
 
     The flags are read at machine- and driver-construction time, so a
     fresh machine built inside this context runs fully in the
@@ -65,7 +62,6 @@ def mode_env(sched: str, vector: int, fastpath: int,
     restores the ambient selection on exit.
     """
     desired = {
-        "REPRO_SCHED": sched,
         "REPRO_VECTOR": str(vector),
         "REPRO_FASTPATH": str(fastpath),
         "REPRO_VERIFY": "1" if verify else "0",
@@ -100,14 +96,13 @@ def _phase_signature(result: typing.Any) -> list[tuple[str, str, str]]:
 def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
                     memory_ratio: float, configuration: str = "local",
                     **spec_kwargs: typing.Any) -> dict:
-    """One workload through the SCHED × VECTOR × FASTPATH × COLUMNAR
-    cube.
+    """One workload through the VECTOR × FASTPATH × COLUMNAR cube.
 
     Every combo runs on a fresh machine with the conformance monitor
     enabled — the columnar combos against the database converted to
     page fragments, the others against tuple-list fragments — and the
     harness then asserts bit-identical response times and phase
-    timings across all sixteen. Returns a picklable report with the
+    timings across all eight. Returns a picklable report with the
     reference result attached under ``"result"``.
     """
     from repro.experiments.runner import run_sweep_point
@@ -115,55 +110,53 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
     from repro.core import backend
 
     runs = []
-    for sched, vector, fastpath, columnar in MODES:
+    for vector, fastpath, columnar in MODES:
         mode_db = (db if db is None
                    else db.with_representation(bool(columnar)))
-        with mode_env(sched, vector, fastpath, verify=True,
+        with mode_env(vector, fastpath, verify=True,
                       columnar=columnar):
             point = run_sweep_point(config, mode_db, algorithm,
                                     memory_ratio,
                                     configuration=configuration,
                                     **spec_kwargs)
-        runs.append(((sched, vector, fastpath, columnar), point))
+        runs.append(((vector, fastpath, columnar), point))
 
     # REPRO_COMPILED axis, availability-gated: when a compiled engine
     # loads on this host, rerun a representative subset of the cube
-    # with the backend pinned both ways (the full 16 x 2 cube would
+    # with the backend pinned both ways (the full 8 x 2 cube would
     # double the harness for an axis whose kernels are already
     # property-tested element-wise).  The subset covers the kernels'
-    # consumers: reference combo (vector + columnar + calendar) and
-    # the heap/tuple-list combo.
+    # consumers: reference combo (vector + columnar) and the
+    # tuple-list combo.
     compiled_modes: list[str] = []
     if any(status == "ok"
            for status in backend.available_engines().values()):
         compiled_modes = ["0", "1"]
         for compiled in compiled_modes:
-            for sched, vector, fastpath, columnar in (
-                    MODES[0], ("heap", 1, 1, 0)):
+            for vector, fastpath, columnar in (MODES[0], (1, 1, 0)):
                 mode_db = (db if db is None
                            else db.with_representation(bool(columnar)))
-                with mode_env(sched, vector, fastpath, verify=True,
+                with mode_env(vector, fastpath, verify=True,
                               columnar=columnar, compiled=compiled):
                     point = run_sweep_point(config, mode_db, algorithm,
                                             memory_ratio,
                                             configuration=configuration,
                                             **spec_kwargs)
-                runs.append(((sched, vector, fastpath, columnar),
-                             point))
+                runs.append(((vector, fastpath, columnar), point))
 
     (_, reference), *rest = runs
     ref_sig = _phase_signature(reference.result)
     ref_time = repr(reference.result.response_time)
-    for (sched, vector, fastpath, columnar), point in rest:
+    for (vector, fastpath, columnar), point in rest:
         time = repr(point.result.response_time)
         if time != ref_time:
             raise ConformanceError(
                 f"{algorithm} response time diverges across modes: "
-                f"sched={sched} vector={vector} fastpath={fastpath} "
+                f"vector={vector} fastpath={fastpath} "
                 f"columnar={columnar} "
                 f"produced {time}, reference {ref_time}",
                 invariant="mode-matrix",
-                deltas={"mode": [sched, vector, fastpath, columnar],
+                deltas={"mode": [vector, fastpath, columnar],
                         "response_time": time,
                         "reference": ref_time})
         sig = _phase_signature(point.result)
@@ -173,10 +166,10 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
             ] or [(ref_sig[len(sig):], sig[len(ref_sig):])]
             raise ConformanceError(
                 f"{algorithm} phase timings diverge across modes "
-                f"(sched={sched} vector={vector} fastpath={fastpath} "
+                f"(vector={vector} fastpath={fastpath} "
                 f"columnar={columnar})",
                 invariant="mode-matrix",
-                deltas={"mode": [sched, vector, fastpath, columnar],
+                deltas={"mode": [vector, fastpath, columnar],
                         "diverging_phases": diverging[:4]})
     return {
         "algorithm": algorithm,
@@ -201,7 +194,7 @@ def run_figure5_matrix(scale: float,
                        algorithms: typing.Sequence[str] | None = None,
                        ) -> list[dict]:
     """The Figure 5 workload (local HPJA joinABprime) through the
-    matrix: every algorithm × memory ratio, all sixteen mode combos,
+    matrix: every algorithm × memory ratio, all eight mode combos,
     all invariants, plus the analytic assessment of the reference
     run."""
     from repro.experiments.config import (
@@ -235,9 +228,9 @@ def run_figure5_matrix(scale: float,
 def main(argv: typing.Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.matrix",
-        description="Differential REPRO_SCHED x REPRO_VECTOR x "
-                    "REPRO_FASTPATH x REPRO_COLUMNAR conformance "
-                    "matrix over the Figure 5 workload.")
+        description="Differential REPRO_VECTOR x REPRO_FASTPATH x "
+                    "REPRO_COLUMNAR conformance matrix over the "
+                    "Figure 5 workload.")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="Wisconsin scale factor (default 0.05)")
     parser.add_argument("--out", type=pathlib.Path, default=None,

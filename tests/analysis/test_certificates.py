@@ -3,9 +3,9 @@
 The soundness property (ISSUE acceptance): cohorts the table certifies
 *commutative* can be fired in either order with bit-identical traces,
 and the known-conflicting fixture pair is provably NOT certified.
-Order is forced by spawning the workloads in both orders under
-``REPRO_SCHED=heap`` — heap tie order is scheduling order, so the
-spawn order IS the same-instant firing order.
+Order is forced by spawning the workloads in both orders — heap tie
+order is scheduling order, so the spawn order IS the same-instant
+firing order.
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ import pathlib
 import pytest
 
 from repro.analysis.audit import SEPARATOR
-from repro.analysis.effects import (
-    CertificateTable,
-    build_table,
-    load_table,
-)
-from repro.analysis.effects.analyzer import analyse_paths
+from repro.analysis.effects import CertificateTable, build_table
+from repro.analysis.effects.analyzer import analyse_paths, analyse_tree
 from repro.analysis.effects.certificates import build_baseline
 
 from tests.analysis import workloads
 
 WORKLOADS = pathlib.Path(workloads.__file__)
+ROOT = pathlib.Path(__file__).parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +71,26 @@ class TestTableDerivation:
         assert baseline["suspects"] == analysis.suspects()
 
 
-class TestCommittedTable:
-    def test_loads_and_matches_runtime_labels(self):
-        committed = load_table()
-        assert len(committed) > 0
-        # The paper workloads' own labels must be attributed.
-        assert committed.match("process:grace.b#.build[#]")
-        assert committed.match("resource:disk#.arm")
+@pytest.fixture(scope="module")
+def tree_table():
+    """The table of the repository's own sim packages, built in
+    memory (nothing is committed or loaded at run time)."""
+    return CertificateTable(build_table(analyse_tree(ROOT)),
+                            source="tree")
 
-    def test_certifies_all_observed_benign_signatures(self, monkeypatch):
-        """Acceptance: every cohort signature the runtime gate calls
-        benign on a real sweep point is statically batchable, and no
-        suspect signature is observed at all."""
+
+class TestCommittedTable:
+    def test_loads_and_matches_runtime_labels(self, tree_table):
+        assert len(tree_table) > 0
+        # The paper workloads' own labels must be attributed.
+        assert tree_table.match("process:grace.b#.build[#]")
+        assert tree_table.match("resource:disk#.arm")
+
+    def test_certifies_all_observed_benign_signatures(self, tree_table,
+                                                      monkeypatch):
+        """Acceptance: every tie signature the auditor calls benign
+        on a real sweep point is statically batchable, and no suspect
+        signature is observed at all."""
         monkeypatch.setenv("REPRO_AUDIT", "1")
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_sweep_point
@@ -97,19 +102,17 @@ class TestCommittedTable:
         benign = point.audit_sites["benign"]
         assert benign, "auditor recorded no tie signatures"
         assert point.audit_sites["suspect"] == {}
-        committed = load_table()
         uncovered = [signature for signature in benign
-                     if not committed.batchable(
+                     if not tree_table.batchable(
                          signature.split(SEPARATOR))]
         assert uncovered == []
 
 
 # -- order-swap soundness ---------------------------------------------------
 
-def _run_disjoint(monkeypatch, order):
-    """Run Alpha+Beta with the given spawn order under the heap
-    scheduler; the traces are the observable state."""
-    monkeypatch.setenv("REPRO_SCHED", "heap")
+def _run_disjoint(order):
+    """Run Alpha+Beta with the given spawn order; the traces are the
+    observable state."""
     from repro.sim import Simulator
     sim = Simulator()
     alpha = workloads.AlphaWorker(sim)
@@ -120,8 +123,7 @@ def _run_disjoint(monkeypatch, order):
     return alpha.trace, beta.trace, sim.now, sim.events_fired
 
 
-def _run_noisy(monkeypatch, order):
-    monkeypatch.setenv("REPRO_SCHED", "heap")
+def _run_noisy(order):
     from repro.sim import Simulator
     sim = Simulator()
     pair = workloads.NoisyPair(sim)
@@ -137,20 +139,19 @@ def _run_noisy(monkeypatch, order):
 
 class TestOrderSwapSoundness:
     def test_certified_commutative_cohorts_are_order_insensitive(
-            self, table, monkeypatch):
+            self, table):
         assert table.commutative(["process:alpha", "process:beta"])
-        first = _run_disjoint(monkeypatch, "ab")
-        second = _run_disjoint(monkeypatch, "ba")
+        first = _run_disjoint("ab")
+        second = _run_disjoint("ba")
         # Bit-identical per-worker traces, clock, and event count.
         assert first == second
         assert first[0] == [(float(t), t) for t in range(1, 5)]
 
     def test_uncertified_pair_really_is_order_sensitive(
-            self, table, monkeypatch):
+            self, table):
         """Negative control: the pair the table refuses to certify
         observably depends on cohort order, so the refusal is not
         vacuous conservatism."""
         assert not table.commutative(
             ["process:noisy-put", "process:noisy-get"])
-        assert _run_noisy(monkeypatch, "pg") != _run_noisy(
-            monkeypatch, "gp")
+        assert _run_noisy("pg") != _run_noisy("gp")

@@ -155,18 +155,6 @@ class TestKernelParity:
                     engine.unpack_bits(raw, num_bits),
                     (raw, num_bits))
 
-    @settings(max_examples=60, deadline=None)
-    @given(times=st.lists(
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False,
-                  allow_infinity=False),
-        min_size=0, max_size=300, unique=True),
-        width=st.floats(min_value=1e-6, max_value=1e6))
-    def test_partition_days(self, engine, times, width):
-        arr = np.asarray(times, dtype=np.float64)
-        assert_same(fallback.partition_days(arr, 1.0 / width),
-                    engine.partition_days(arr, 1.0 / width),
-                    (times, width))
-
 
 class TestDispatcher:
     """Selection, counters, and the structured error."""
@@ -264,7 +252,7 @@ def test_matrix_pinned_both_ways_on_randomized_workload():
     db = sweep_database(config, hpja=True)
     times = {}
     for compiled in ("0", "1"):
-        with mode_env("calendar", 1, 1, columnar=1, compiled=compiled):
+        with mode_env(1, 1, columnar=1, compiled=compiled):
             point = run_sweep_point(config, db.with_representation(True),
                                     "hybrid", 1.0)
         times[compiled] = (repr(point.result.response_time),

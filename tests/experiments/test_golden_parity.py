@@ -17,14 +17,12 @@ Both are checked with the fast paths on (default) and off
 kernel), so the switch itself is also covered.
 
 The vectorized page-batch data plane (``REPRO_VECTOR`` — see
-``repro.core.kernels``), the calendar-queue scheduler
-(``REPRO_SCHED`` — see ``repro.sim.calendar``) and the columnar
-relation storage (``REPRO_COLUMNAR`` — see ``repro.catalog.pages``)
-make the same bit-parity promise: figure 5 runs the full
-SCHED × FASTPATH × VECTOR × COLUMNAR cube against the goldens;
-figures 7 and 14 (the slower sweeps) run every calendar combo plus
-the classic-heap reference combo, each with a tuple-list
-(``REPRO_COLUMNAR=0``) spot check.
+``repro.core.kernels``) and the columnar relation storage
+(``REPRO_COLUMNAR`` — see ``repro.catalog.pages``) make the same
+bit-parity promise: figure 5 runs the full FASTPATH × VECTOR ×
+COLUMNAR cube against the goldens; figures 7 and 14 (the slower
+sweeps) run a subset, each with a tuple-list (``REPRO_COLUMNAR=0``)
+spot check.
 
 Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
@@ -49,42 +47,36 @@ from repro.experiments.config import ExperimentConfig
 RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 CONFIG = ExperimentConfig(scale=0.1, seed=1)
 
-#: (figure, REPRO_SCHED, REPRO_FASTPATH, REPRO_VECTOR,
-#: REPRO_COLUMNAR) combinations under test.  (heap, 0, 0, 0) is the
-#: seed code path; figure 5 covers the full sched × fastpath ×
-#: vector × columnar cube; figures 7 and 14 (the slower sweeps —
-#: figure14 is 36 remote points) run every calendar combo of their
-#: previous matrix plus the classic-heap reference, each matrix
-#: anchored by one tuple-list (columnar=0) combo.
+#: (figure, REPRO_FASTPATH, REPRO_VECTOR, REPRO_COLUMNAR)
+#: combinations under test.  (0, 0, 0) is the seed code path; figure
+#: 5 covers the full fastpath × vector × columnar cube; figures 7 and
+#: 14 (the slower sweeps — figure14 is 36 remote points) run a
+#: subset, each anchored by one tuple-list (columnar=0) combo.
 SCENARIOS = [
-    ("figure5", sched, fastpath, vector, columnar)
-    for sched in ("calendar", "heap")
+    ("figure5", fastpath, vector, columnar)
     for fastpath in ("1", "0")
     for vector in ("1", "0")
     for columnar in ("1", "0")
 ] + [
-    ("figure7", "calendar", "1", "1", "1"),
-    ("figure7", "calendar", "0", "1", "1"),
-    ("figure7", "calendar", "1", "0", "1"),
-    ("figure7", "calendar", "0", "0", "1"),
-    ("figure7", "calendar", "1", "1", "0"),
-    ("figure7", "heap", "1", "1", "1"),
-    ("figure14", "calendar", "1", "1", "1"),
-    ("figure14", "calendar", "0", "1", "1"),
-    ("figure14", "calendar", "1", "1", "0"),
-    ("figure14", "heap", "1", "1", "1"),
+    ("figure7", "1", "1", "1"),
+    ("figure7", "0", "1", "1"),
+    ("figure7", "1", "0", "1"),
+    ("figure7", "0", "0", "1"),
+    ("figure7", "1", "1", "0"),
+    ("figure14", "1", "1", "1"),
+    ("figure14", "0", "1", "1"),
+    ("figure14", "1", "1", "0"),
 ]
 
 _CACHE: dict = {}
 
 
-def sweep(name: str, sched: str, fastpath: str, vector: str,
+def sweep(name: str, fastpath: str, vector: str,
           columnar: str, monkeypatch) -> figures.Figure:
-    key = (name, sched, fastpath, vector, columnar)
+    key = (name, fastpath, vector, columnar)
     if key not in _CACHE:
         monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
         monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
-        monkeypatch.setenv("REPRO_SCHED", sched)
         monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         monkeypatch.setenv("REPRO_VECTOR", vector)
         monkeypatch.setenv("REPRO_COLUMNAR", columnar)
@@ -98,11 +90,10 @@ def golden() -> dict:
         return json.load(fh)["figures"]
 
 
-@pytest.mark.parametrize("name,sched,fastpath,vector,columnar",
-                         SCENARIOS)
-def test_bit_identical_to_golden(name, sched, fastpath, vector,
-                                 columnar, golden, monkeypatch):
-    figure = sweep(name, sched, fastpath, vector, columnar, monkeypatch)
+@pytest.mark.parametrize("name,fastpath,vector,columnar", SCENARIOS)
+def test_bit_identical_to_golden(name, fastpath, vector, columnar,
+                                 golden, monkeypatch):
+    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
     expected = golden[name]
     assert {s.label for s in figure.series} == set(expected)
     for series in figure.series:
@@ -111,7 +102,7 @@ def test_bit_identical_to_golden(name, sched, fastpath, vector,
         for point in series.points:
             assert repr(point.response_time) == want[repr(point.x)], (
                 f"{name}/{series.label} diverged at x={point.x} "
-                f"(REPRO_SCHED={sched}, REPRO_FASTPATH={fastpath}, "
+                f"(REPRO_FASTPATH={fastpath}, "
                 f"REPRO_VECTOR={vector}, REPRO_COLUMNAR={columnar})")
 
 
@@ -138,11 +129,11 @@ def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
     return rows
 
 
-@pytest.mark.parametrize("name,sched,fastpath,vector,columnar",
+@pytest.mark.parametrize("name,fastpath,vector,columnar",
                          [s for s in SCENARIOS if s[0] != "figure14"])
-def test_matches_rendered_report(name, sched, fastpath, vector,
-                                 columnar, monkeypatch):
-    figure = sweep(name, sched, fastpath, vector, columnar, monkeypatch)
+def test_matches_rendered_report(name, fastpath, vector, columnar,
+                                 monkeypatch):
+    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
     stored = _parse_rendered(RESULTS / f"{name}.txt")
     for series in figure.series:
         row = stored[series.label]

@@ -1,10 +1,16 @@
 """Unit tests for the Simulator event loop."""
 
+import os
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 from repro.sim.events import PRIORITY_URGENT
+from repro.sim.resources import Resource, Store
 
 
 def test_clock_starts_at_zero(sim):
@@ -105,6 +111,22 @@ def test_run_until_between_events(sim):
     assert fired == [1, 3]
 
 
+@pytest.mark.parametrize("verify", ["0", "1"])
+def test_run_until_rejects_a_bound_in_the_past(monkeypatch, verify):
+    """Both run loops: a bound behind the clock must not rewind it."""
+    monkeypatch.setenv("REPRO_VERIFY", verify)
+    sim = Simulator()
+    sim.timeout(10.0)
+    sim.run(until=6.0)
+    with pytest.raises(ValueError, match="past"):
+        sim.run(until=2.0)
+    assert sim.now == 6.0
+    sim.run(until=6.0)  # until == now stays legal
+    assert sim.now == 6.0
+    sim.run()
+    assert sim.now == 10.0
+
+
 def test_large_heap_order():
     sim = Simulator()
     fired = []
@@ -114,3 +136,81 @@ def test_large_heap_order():
             lambda e, d=delay: fired.append(d))
     sim.run()
     assert fired == sorted(delays) == sorted(fired)
+
+
+# ---------------------------------------------------------------------------
+# Kernel property: every way of driving the queue yields one trace
+# ---------------------------------------------------------------------------
+
+#: The inlined run() with every kernel switch at its default.
+INLINED = {"REPRO_VERIFY": "0", "REPRO_AUDIT": "0", "REPRO_FASTPATH": "1"}
+
+
+def run_traced(plan, env, bounds=()):
+    """Run one randomized workload, returning its full event trace.
+
+    ``bounds`` drives the same plan through ``run(until=bound)`` once
+    per bound before the final drain.
+    """
+    # The kernel switches are read at construction (and monkeypatch
+    # mixes badly with @given).
+    with mock.patch.dict(os.environ, env):
+        sim = Simulator()
+    resources = [Resource(sim, capacity=1 + index % 2,
+                          name=f"res-{index}") for index in range(2)]
+    stores = [Store(sim, name=f"store-{index}") for index in range(2)]
+    trace: list = []
+
+    def body(pid, actions):
+        for step, action in enumerate(actions):
+            tag = action[0]
+            if tag == "timeout":
+                yield sim.timeout(action[1])
+            elif tag == "use":
+                yield from resources[action[1]].use(action[2])
+            elif tag == "put":
+                stores[action[1]].put((pid, step))
+                yield sim.timeout(0.0)
+            else:  # "get"
+                item = yield stores[action[1]].get()
+                trace.append((repr(sim.now), pid, step, "got", item))
+            trace.append((repr(sim.now), pid, step))
+
+    for pid, actions in enumerate(plan):
+        sim.process(body(pid, actions), name=f"proc-{pid}")
+    for bound in bounds:
+        sim.run(until=bound)
+    sim.run()
+    return trace, repr(sim.now), sim.events_fired
+
+
+action_strategy = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+    st.tuples(st.just("use"), st.sampled_from((0, 1)),
+              st.sampled_from((0.25, 1.0))),
+    st.tuples(st.just("put"), st.sampled_from((0, 1))),
+    st.tuples(st.just("get"), st.sampled_from((0, 1))),
+)
+
+plan_strategy = st.lists(
+    st.lists(action_strategy, min_size=1, max_size=6),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=plan_strategy)
+def test_every_run_loop_yields_the_step_loop_trace(plan):
+    """The step() loop (``REPRO_VERIFY=1``) is the oracle; the inlined
+    run(), the observe-only auditor and a bounded run in ten slices
+    must reproduce its trace, clock and event count bit-for-bit.  The
+    classic kernel (``REPRO_FASTPATH=0``) fires two events per
+    resource use where grant-and-hold fires one, so it is held to the
+    trace and clock only."""
+    oracle = run_traced(plan, dict(INLINED, REPRO_VERIFY="1"))
+    assert run_traced(plan, INLINED) == oracle
+    assert run_traced(plan, dict(INLINED, REPRO_AUDIT="1")) == oracle
+    end = float(oracle[1])
+    slices = [end * k / 10 for k in range(1, 10)] + [end]
+    assert run_traced(plan, INLINED, bounds=slices) == oracle
+    assert run_traced(plan, dict(INLINED, REPRO_FASTPATH="0"))[:2] \
+        == oracle[:2]

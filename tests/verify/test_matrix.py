@@ -1,7 +1,7 @@
 """Differential mode-matrix tests (``repro.verify.matrix``).
 
-The sixteen REPRO_SCHED x REPRO_VECTOR x REPRO_FASTPATH x
-REPRO_COLUMNAR combinations must be simulation-invisible: randomized
+The eight REPRO_VECTOR x REPRO_FASTPATH x REPRO_COLUMNAR
+combinations must be simulation-invisible: randomized
 small workloads (algorithm, memory ratio, configuration, declustering,
 skew) are pushed through :func:`run_mode_matrix`, which runs each
 combo on a fresh machine with all invariants armed and asserts
@@ -39,29 +39,26 @@ CASES = [
 class TestModeEnv:
     def test_sets_and_restores(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTOR", "1")
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         monkeypatch.setenv("REPRO_VERIFY", "0")
-        with mode_env("heap", 0, 1, verify=True):
-            assert os.environ["REPRO_SCHED"] == "heap"
+        with mode_env(0, 1, verify=True):
             assert os.environ["REPRO_VECTOR"] == "0"
             assert os.environ["REPRO_FASTPATH"] == "1"
             assert os.environ["REPRO_VERIFY"] == "1"
         assert os.environ["REPRO_VECTOR"] == "1"
-        assert "REPRO_SCHED" not in os.environ
         assert "REPRO_FASTPATH" not in os.environ
         assert os.environ["REPRO_VERIFY"] == "0"
 
     def test_restores_on_error(self, monkeypatch):
         monkeypatch.delenv("REPRO_VECTOR", raising=False)
         with pytest.raises(RuntimeError):
-            with mode_env("calendar", 1, 1):
+            with mode_env(1, 1):
                 raise RuntimeError("boom")
         assert "REPRO_VECTOR" not in os.environ
 
 
 class TestModeMatrix:
-    def test_reports_all_sixteen_modes(self, tiny_db):
+    def test_reports_all_eight_modes(self, tiny_db):
         report = run_mode_matrix(CONFIG, tiny_db, "hybrid", 1.0)
         assert report["modes"] == [list(m) for m in MODES]
         assert report["algorithm"] == "hybrid"
@@ -108,7 +105,7 @@ class TestDivergenceDetection:
         with pytest.raises(ConformanceError) as info:
             run_mode_matrix(CONFIG, None, "hybrid", 1.0)
         assert info.value.invariant == "mode-matrix"
-        assert info.value.deltas["mode"] == ["calendar", 0, 1, 1]
+        assert info.value.deltas["mode"] == [0, 1, 1]
 
     def test_phase_timing_divergence_raises(self, monkeypatch):
         def fake_run(config, db, algorithm, ratio, **kwargs):
