@@ -91,10 +91,9 @@ def time_microbench(reps: int) -> dict:
 def time_dataplane(reps: int) -> dict | None:
     """Data-plane microbench (hash/filter/build/probe, no simulator).
 
-    Runs the vector arm when ``repro.core.kernels`` is importable and
-    ``REPRO_VECTOR`` allows it, else the scalar arm — so a pre-kernels
-    revision baselined via PYTHONPATH records the scalar numbers the
-    vector plane replaced.
+    Runs the vector arm when ``repro.core.kernels`` is importable,
+    else the scalar arm — so a pre-kernels revision baselined via
+    PYTHONPATH records the scalar numbers the vector plane replaced.
     """
     try:
         from benchmarks.test_kernel_microbench import run_dataplane_workload

@@ -16,24 +16,33 @@ from __future__ import annotations
 
 from repro.sim import Simulator
 from repro.sim.resources import Resource
+from tests.sim.classic import classic_use
 
 N_WORKERS = 8
 N_OPS = 2000
 
 
 def run_kernel_workload(n_workers: int = N_WORKERS,
-                        n_ops: int = N_OPS) -> Simulator:
-    """Deterministic mixed contended/uncontended kernel workload."""
+                        n_ops: int = N_OPS,
+                        classic: bool = False) -> Simulator:
+    """Deterministic mixed contended/uncontended kernel workload.
+
+    ``classic`` spells every resource use out as the long chain."""
     sim = Simulator()
     shared = Resource(sim, capacity=1, name="shared")
+
+    def use(resource: Resource, duration: float):
+        if classic:
+            return classic_use(sim, resource, duration)
+        return resource.use(duration)
 
     def worker(index: int):
         own = Resource(sim, capacity=1, name=f"own{index}")
         hold = 0.0001 * (index + 1)
         for op in range(n_ops):
-            yield from own.use(hold)
+            yield from use(own, hold)
             if op % 8 == 0:
-                yield from shared.use(0.0003)
+                yield from use(shared, 0.0003)
             if op % 32 == 0:
                 yield sim.timeout(0.001)
 
@@ -49,8 +58,7 @@ def test_kernel_microbench(benchmark):
     assert counters["queued_events"] == 0
     # Every op holds at least one event; the workload really ran.
     assert counters["events_fired"] > N_WORKERS * N_OPS
-    if sim.fastpath:
-        assert counters["fastpath_holds"] > N_WORKERS * N_OPS
+    assert counters["fastpath_holds"] > N_WORKERS * N_OPS
 
 
 def test_kernel_workload_is_deterministic():
@@ -60,13 +68,11 @@ def test_kernel_workload_is_deterministic():
     assert first.events_fired == second.events_fired
 
 
-def test_fastpath_matches_classic_clock(monkeypatch):
-    """The fast lanes may not move a single simulated timestamp."""
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
+def test_use_matches_classic_clock():
+    """Grant-and-hold may not move a single simulated timestamp."""
     fast = run_kernel_workload(n_workers=4, n_ops=300)
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    classic = run_kernel_workload(n_workers=4, n_ops=300)
-    assert fast.fastpath and not classic.fastpath
+    classic = run_kernel_workload(n_workers=4, n_ops=300, classic=True)
+    assert fast.fastpath_holds and not classic.fastpath_holds
     assert repr(fast.now) == repr(classic.now)
 
 
@@ -87,9 +93,11 @@ def run_dataplane_workload(vector: bool | None = None,
     vectorized data plane replaced, page by page: hash a key column,
     mark a bit filter, build a join hash table, then filter-screen and
     probe an overlapping outer stream with the consumer's exact CPU
-    accounting.  ``vector=None`` follows ``REPRO_VECTOR``; the scalar
-    arm uses only primitives that exist in pre-kernels revisions, so
-    old/new samples can be recorded interleaved on one box.
+    accounting.  ``vector=None`` runs the vector arm (the scalar arm
+    on a revision without ``repro.core.kernels``); ``vector=False``
+    pins the scalar arm, which uses only primitives that exist in
+    pre-kernels revisions, so old/new samples can be recorded
+    interleaved on one box.
 
     Returns a digest (hash checksum, filter counters, match count,
     accumulated CPU) that is bit-identical across both arms.
@@ -100,8 +108,8 @@ def run_dataplane_workload(vector: bool | None = None,
 
     if vector is None:
         try:
-            from repro.core import kernels
-            vector = kernels.vector_enabled()
+            from repro.core import kernels  # noqa: F401
+            vector = True
         except ImportError:  # pre-kernels revision baseline
             vector = False
     if vector:

@@ -27,7 +27,6 @@ import typing
 
 from repro.catalog.relation import Relation
 from repro.core.hash_table import JoinOverflowError
-from repro.core.kernels import vector_enabled
 from repro.engine.machine import GammaMachine, MachineConfig
 from repro.sim import ProcessCrash
 from repro.engine.node import Node
@@ -249,8 +248,6 @@ class JoinDriver:
         self._make_hasher = _hashing.HASH_FAMILY_HASHERS[spec.hash_family]
         self._hashers: dict[int, typing.Callable] = {}
         self.aggregate_memory = spec.aggregate_memory(inner.total_bytes)
-        #: Snapshot of the REPRO_VECTOR gate for this join's lifetime.
-        self.vectorized = vector_enabled()
         self.result_tuple_bytes = (inner.schema.tuple_bytes
                                    + outer.schema.tuple_bytes)
         # -- measurement state -------------------------------------------

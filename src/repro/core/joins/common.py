@@ -219,9 +219,9 @@ class HashJoinRound:
     def _column(self, source: StreamSource,
                 key_index: int) -> "kernels.Column | None":
         """The source's resolved hash column, or None for the scalar
-        path (vector plane off, selection predicate at the scan site,
-        or a column the kernels cannot hash)."""
-        if not self.driver.vectorized or source.predicate is not None:
+        path (selection predicate at the scan site, or a column the
+        kernels cannot hash)."""
+        if source.predicate is not None:
             return None
         family = self.driver.spec.hash_family
         rows, stored = source.column_data(self.level, family)
@@ -287,10 +287,7 @@ class HashJoinRound:
                     give_batch(dsts, rows, hashes)
                 return cpu
 
-        if self.driver.vectorized:
-            return kernels.counting_scalar(route_page,
-                                           self.machine.dataplane)
-        return route_page
+        return kernels.counting_scalar(route_page, self.machine.dataplane)
 
     def build_consumer(self, site: int, port: str, n_producers: int
                        ) -> typing.Generator:
@@ -336,8 +333,7 @@ class HashJoinRound:
         # filter bit, insert" — batched below with bit-identical CPU
         # (prefix tables replay the same additions) and identical table
         # state (insert order preserved, filter OR commutes).
-        vector = driver.vectorized
-        dataplane = machine.dataplane if vector else None
+        dataplane = machine.dataplane
         site_filter = self.bank[site] if self.bank is not None else None
         if site_filter is not None:
             batch_cpu = constant_page_cost(receive_update, filter_set,
@@ -359,7 +355,7 @@ class HashJoinRound:
             assert type(message) is DataPacket, message
             if mon is not None:
                 mon.note_received(len(message.rows))
-            if (vector and table.cutoff is None
+            if (table.cutoff is None
                     and table.count + len(message.rows) <= table.capacity):
                 dataplane.packets_batched += 1
                 if site_filter is not None:
@@ -367,8 +363,7 @@ class HashJoinRound:
                 table.insert_page(message.rows, message.hashes)
                 yield from node.cpu_use(batch_cpu(len(message.rows)))
                 continue
-            if vector:
-                dataplane.packets_scalar += 1
+            dataplane.packets_scalar += 1
             cpu = 0.0
             for row, h in zip(message.rows, message.hashes):
                 cpu += receive_update
@@ -546,11 +541,9 @@ class HashJoinRound:
         tuple_probe = costs.tuple_probe
         tuple_chain_link = costs.tuple_chain_link
         result_move = costs.tuple_result + costs.tuple_move
-        probe = table.probe
         probe_page = table.probe_page
         give_round_robin = store_router.give_round_robin
-        vector = self.driver.vectorized
-        dataplane = machine.dataplane if vector else None
+        dataplane = machine.dataplane
         # Inlined NetworkService.receive_charge (both message kinds on
         # this port carry src_node, so the general path reduces to a
         # two-constant pick charged on this node's CPU).
@@ -573,22 +566,11 @@ class HashJoinRound:
             assert type(message) is DataPacket, message
             if mon is not None:
                 mon.note_received(len(message.rows))
-            if vector:
-                dataplane.packets_batched += 1
-                cpu = probe_page(message.rows, message.hashes,
-                                 outer_key, inner_key, tuple_receive,
-                                 tuple_probe, tuple_chain_link,
-                                 result_move, give_round_robin)
-            else:
-                cpu = 0.0
-                for row, h in zip(message.rows, message.hashes):
-                    cpu += tuple_receive
-                    matches, chain = probe(h, row[outer_key], inner_key)
-                    cpu += (tuple_probe
-                            + max(0, chain - 1) * tuple_chain_link)
-                    for match in matches:
-                        cpu += result_move
-                        give_round_robin(match + row)
+            dataplane.packets_batched += 1
+            cpu = probe_page(message.rows, message.hashes, outer_key,
+                             inner_key, tuple_receive, tuple_probe,
+                             tuple_chain_link, result_move,
+                             give_round_robin)
             yield from node.cpu_use(cpu)
             if store_router._ready:
                 yield from store_router.flush_ready()

@@ -170,8 +170,7 @@ class GraceHashJoin(JoinDriver):
         hasher = self.hasher(0)
         give_batch = router.give_batch
 
-        if (forming_bank is None and predicate is None
-                and self.vectorized):
+        if forming_bank is None and predicate is None:
             column = kernels.resolve_column(
                 self.machine, rows, None, key_index, 0,
                 self.spec.hash_family)
@@ -194,10 +193,8 @@ class GraceHashJoin(JoinDriver):
                            hashes, [e.bucket for e in entries])
                 return cpu_for(len(page))
 
-            if self.vectorized:
-                return kernels.counting_scalar(route_page,
-                                               self.machine.dataplane)
-            return route_page
+            return kernels.counting_scalar(route_page,
+                                           self.machine.dataplane)
 
         def route_page(page: typing.Sequence[Row]) -> float:
             cpu = 0.0
@@ -231,7 +228,4 @@ class GraceHashJoin(JoinDriver):
                 give_batch(dsts, rows, hashes, buckets)
             return cpu
 
-        if self.vectorized:
-            return kernels.counting_scalar(route_page,
-                                           self.machine.dataplane)
-        return route_page
+        return kernels.counting_scalar(route_page, self.machine.dataplane)

@@ -175,8 +175,7 @@ class HybridHashJoin(JoinDriver):
         key_index = self.inner_key
         hasher = self.hasher(0)
         n_entries = len(table)
-        if (forming_bank is None and predicate is None
-                and self.vectorized):
+        if forming_bank is None and predicate is None:
             column = kernels.resolve_column(
                 self.machine, fragment, None, key_index, 0,
                 self.spec.hash_family)
@@ -247,10 +246,7 @@ class HybridHashJoin(JoinDriver):
                                        t_buckets)
             return cpu
 
-        if self.vectorized:
-            return kernels.counting_scalar(route_page,
-                                           self.machine.dataplane)
-        return route_page
+        return kernels.counting_scalar(route_page, self.machine.dataplane)
 
     # ------------------------------------------------------------------
     # Phase 2: partition S, probing bucket 1 on the fly
@@ -335,8 +331,7 @@ class HybridHashJoin(JoinDriver):
         host_ids = [host.node_id for host in round0.host_of]
         hasher = self.hasher(0)
         n_entries = len(table)
-        if (forming_bank is None and predicate is None
-                and self.vectorized):
+        if forming_bank is None and predicate is None:
             column = kernels.resolve_column(
                 self.machine, fragment, None, key_index, 0,
                 self.spec.hash_family)
@@ -440,10 +435,7 @@ class HybridHashJoin(JoinDriver):
                                        t_buckets)
             return cpu
 
-        if self.vectorized:
-            return kernels.counting_scalar(route_page,
-                                           self.machine.dataplane)
-        return route_page
+        return kernels.counting_scalar(route_page, self.machine.dataplane)
 
     # ------------------------------------------------------------------
     # Shared bits

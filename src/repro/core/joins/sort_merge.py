@@ -129,24 +129,15 @@ class SortMergeJoin(JoinDriver):
                 [router], route_page=route_page)))
         consumers: list[tuple[Node, typing.Generator]] = []
         for d, node in enumerate(self.disk_nodes):
-            hook = None
             batch_hook = None
             if build_bank is not None:
-                if self.vectorized:
-                    batch_hook = kernels.writer_filter_hook(
-                        build_bank[d], costs.tuple_store,
-                        costs.filter_set)
-                else:
-                    def hook(row: Row, hash_code: int, _site: int = d,
-                             _bank: FilterBank = build_bank) -> float:
-                        _bank.set(_site, hash_code)
-                        return costs.filter_set
+                batch_hook = kernels.writer_filter_hook(
+                    build_bank[d], costs.tuple_store, costs.filter_set)
             consumers.append((node, tempfile_writer(
                 machine, node, port, len(self.disk_nodes),
                 select_file=lambda bucket, file=files[d]: file,
                 stats=self.bucket_forming_writes,
                 close_files=[files[d]],
-                per_tuple_hook=hook,
                 batch_hook=batch_hook)))
         yield from self.scheduler.execute_phase(
             f"sm.part{which}", producers, consumers,
@@ -172,7 +163,7 @@ class SortMergeJoin(JoinDriver):
         hasher = self.hasher(0)
         give_batch = router.give_batch
 
-        if predicate is None and self.vectorized:
+        if predicate is None:
             column = kernels.resolve_column(
                 self.machine, fragment, None, key_index, 0,
                 self.spec.hash_family)
@@ -198,10 +189,8 @@ class SortMergeJoin(JoinDriver):
                            page, hashes)
                 return cpu_for(len(page))
 
-            if self.vectorized:
-                return kernels.counting_scalar(route_page,
-                                               self.machine.dataplane)
-            return route_page
+            return kernels.counting_scalar(route_page,
+                                           self.machine.dataplane)
 
         def route_page(page: typing.Sequence[Row]) -> float:
             cpu = 0.0
@@ -229,10 +218,7 @@ class SortMergeJoin(JoinDriver):
                 give_batch(dsts, rows, hashes)
             return cpu
 
-        if self.vectorized:
-            return kernels.counting_scalar(route_page,
-                                           self.machine.dataplane)
-        return route_page
+        return kernels.counting_scalar(route_page, self.machine.dataplane)
 
     # ------------------------------------------------------------------
     # Phase 2/4: parallel local external sorts

@@ -1,4 +1,4 @@
-"""Vectorized page-batch data-plane kernels (the ``REPRO_VECTOR`` path).
+"""Vectorized page-batch data-plane kernels.
 
 The simulator's response times are sums of per-tuple cost constants
 accumulated in a fixed order; *how* those sums are computed is
@@ -12,9 +12,8 @@ precomputed as a :class:`RoutePlan`, and each page's CPU charge
 produced either from a
 :func:`~repro.engine.operators.scan.constant_page_cost` prefix table
 (row-independent cost) or a :class:`CostStream` replay (row-dependent
-cost).  ``REPRO_VECTOR=0`` restores the scalar per-row path; both
-modes produce bit-identical simulated times (property- and
-golden-tested).
+cost).  The result is bit-identical to the per-row scalar routes the
+joins keep as their fallback (property- and golden-tested).
 
 Parity argument, in brief:
 
@@ -33,14 +32,13 @@ Parity argument, in brief:
   row-independent) performs the same float additions in the same
   order on the same operands.
 
-Columns that cannot be vectorized (string or mixed-type keys, selection
-predicates, forming-filter ablations) fall back to the scalar route and
-are counted in :class:`DataPlaneCounters`.
+The input selects the fallback: sources that cannot be vectorized
+(string or mixed-type keys, selection predicates, forming-filter
+ablations) take the scalar route, counted in :class:`DataPlaneCounters`.
 """
 
 from __future__ import annotations
 
-import os
 import typing
 
 import numpy as np
@@ -62,12 +60,6 @@ RoutePageFn = typing.Callable[[typing.Sequence[Row]], float]
 Array = typing.Any
 
 
-def vector_enabled() -> bool:
-    """Is the vectorized data plane on?  ``REPRO_VECTOR`` defaults to
-    on; ``REPRO_VECTOR=0`` restores the scalar per-row path."""
-    return os.environ.get("REPRO_VECTOR", "1") != "0"
-
-
 class DataPlaneCounters:
     """Observability counters for the vectorized data plane.
 
@@ -82,8 +74,7 @@ class DataPlaneCounters:
         #: Scan pages routed through a RoutePlan.
         self.pages_batched = 0
         self.rows_batched = 0
-        #: Scan pages that fell back to the scalar route while the
-        #: vector plane was on.
+        #: Scan pages whose input sent them down the scalar route.
         self.pages_scalar = 0
         #: Consumer packets handled by the page-granular build/probe.
         self.packets_batched = 0
@@ -383,8 +374,8 @@ class CostStream:
 
 def counting_scalar(route_page: RoutePageFn,
                     counters: DataPlaneCounters) -> RoutePageFn:
-    """Count pages that fell back to the scalar route while the vector
-    plane is on (predicates, non-integer keys, forming filters)."""
+    """Count pages that fell back to the scalar route (predicates,
+    non-integer keys, forming filters)."""
 
     def counted(page: typing.Sequence[Row]) -> float:
         counters.pages_scalar += 1
@@ -651,11 +642,11 @@ def writer_filter_hook(bit_filter: "BitFilter", tuple_store: float,
                        filter_set: float
                        ) -> typing.Callable[[typing.Sequence[Row],
                                              typing.Sequence[int]], float]:
-    """Batch replacement for the sort-merge writer's per-tuple
-    filter-building hook: same bits (batch OR commutes), same CPU float
-    (the scalar sequence ``n * tuple_store`` then n additions of
-    ``filter_set`` is replayed once per distinct packet size and
-    memoized)."""
+    """The sort-merge writer's filter-building hook, one packet at a
+    time: bits set as a batch (OR commutes), CPU charged as the
+    per-tuple sequence ``n * tuple_store`` then n additions of
+    ``filter_set``, replayed once per distinct packet size and
+    memoized."""
     memo: dict[int, float] = {}
 
     def batch_hook(rows: typing.Sequence[Row],

@@ -55,15 +55,11 @@ class WriterStats:
         self.pages_written += other.pages_written
 
 
-#: Optional per-tuple callback: receives (row, hash) as each tuple is
-#: stored and returns extra CPU seconds (e.g. setting a bit-filter bit
-#: while the redistributed inner relation of a sort-merge join arrives
-#: at its disk site, §4.2).
-TupleHook = typing.Callable[[Row, int], float]
-
 #: Optional page-batch callback: receives a packet's (rows, hashes) and
-#: returns the packet's *entire* store CPU (replacing the per-tuple
-#: store + hook arithmetic with a bit-identical batch computation).
+#: returns the packet's *entire* store CPU in place of the plain
+#: per-tuple store charge (e.g. setting bit-filter bits while the
+#: redistributed inner relation of a sort-merge join arrives at its
+#: disk site, §4.2).
 BatchHook = typing.Callable[
     [typing.Sequence[Row], typing.Sequence[int]], float]
 
@@ -73,7 +69,6 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
                     stats: WriterStats | None = None,
                     collect: list[Row] | None = None,
                     close_files: typing.Sequence[PagedFile] = (),
-                    per_tuple_hook: TupleHook | None = None,
                     batch_hook: BatchHook | None = None,
                     ) -> typing.Generator:
     """Drain ``(node, port)`` into local temp files until all producers
@@ -128,9 +123,6 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
             cpu = batch_hook(message.rows, message.hashes)
         else:
             cpu = len(message.rows) * tuple_store
-            if per_tuple_hook is not None:
-                for row, hash_code in zip(message.rows, message.hashes):
-                    cpu += per_tuple_hook(row, hash_code)
         yield from node.cpu_use(cpu)
         file = select_file(message.bucket)
         pages_completed = file.extend(message.rows, message.hashes)

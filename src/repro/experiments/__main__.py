@@ -113,7 +113,7 @@ def _dataplane_summary(outcome) -> str | None:
 
     Shown alongside the kernel block so a profile run answers, at a
     glance, how much of the tuple traffic rode the page-batch plane
-    (``REPRO_VECTOR``) versus the scalar fallbacks, and how often the
+    versus the input-selected scalar fallbacks, and how often the
     per-relation key-hash memo spared a rehash.
     """
     totals: dict[str, int] = {}

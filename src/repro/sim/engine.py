@@ -35,9 +35,10 @@ single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
 * **an inlined run loop** — :meth:`run` performs the pop/fire cycle
   with hoisted locals instead of delegating to :meth:`step`.
 
-Set ``REPRO_FASTPATH=0`` to disable the grant-and-hold lane (the run
-loop then never sees a held event); the golden parity tests exercise
-both modes.
+The classic chain survives as the public
+:meth:`~repro.sim.resources.Resource.request` /
+:meth:`~repro.sim.resources.Resource.release` idiom; the kernel tests
+hold ``use()`` to its clock and trace.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         #: FIFO lane for delay-0 URGENT events (see module docstring).
-        #: Always drained before the heap; empty when fastpath is off.
+        #: Always drained before the heap.
         self._urgent: collections.deque[Event] = collections.deque()
         self._sequence = 0
         #: Event-creation serial counter (stable debug identity;
@@ -92,8 +93,6 @@ class Simulator:
         self._event_serial = 0
         self._active_processes = 0
         self._crashed: list[Process] = []
-        #: Grant-and-hold lane switch (see module docstring).
-        self.fastpath: bool = os.environ.get("REPRO_FASTPATH", "1") != "0"
         #: Event-tie auditor (``REPRO_AUDIT=1``, see DESIGN.md §8 and
         #: repro.analysis.audit).  Observes same-(time, priority) heap
         #: pops; never changes pop order.  Lazily imported so the
@@ -151,7 +150,7 @@ class Simulator:
                   priority: int = PRIORITY_NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: {delay!r}")
-        if priority == PRIORITY_URGENT and self.fastpath:
+        if priority == PRIORITY_URGENT:
             # Urgent FIFO lane: (now, URGENT) entries pop before
             # anything else in the heap and tie-break in scheduling
             # order, so a deque reproduces heap order exactly.  The
@@ -361,10 +360,7 @@ class Simulator:
         exactly as the in-order kernel would.  Any simulated result
         that depends on the insertion-order tie-break then moves — a
         sensitivity probe for how much timing rests on the pinned
-        tie order (see repro.analysis.audit).  Note that with
-        ``REPRO_FASTPATH=0`` URGENT events live in the heap, so
-        reversal also flips resource-grant FIFO order — expected, and
-        a larger perturbation than fastpath-on reversal.
+        tie order (see repro.analysis.audit).
         """
         heap = self._heap
         urgent = self._urgent

@@ -104,29 +104,26 @@ class Resource:
     def use(self, duration: float) -> typing.Iterable[Event]:
         """``yield from`` helper: acquire, hold for ``duration``, release.
 
-        On the fast path (``sim.fastpath``, the default) the
-        request→grant→timeout→release event chain is collapsed into a
-        single *grant-and-hold* event: the grant is scheduled exactly
-        like :meth:`request`'s, but carries the hold duration, and the
-        run loop re-keys it ``duration`` seconds ahead on its first pop
-        — at the very moment the classic path's process resume would
-        have scheduled its timeout, so the heap sequence numbering (and
-        every simulated time) is unchanged while one full generator
-        resume per use is saved.  Waiters of both flavours share the
-        same FIFO queue and are granted identically.
+        The request→grant→timeout→release event chain is collapsed
+        into a single *grant-and-hold* event: the grant is scheduled
+        exactly like :meth:`request`'s, but carries the hold duration,
+        and the run loop re-keys it ``duration`` seconds ahead on its
+        first pop — at the very moment the classic chain's process
+        resume would have scheduled its timeout, so the heap sequence
+        numbering (and every simulated time) is unchanged while one
+        full generator resume per use is saved.  Waiters of both
+        flavours share the same FIFO queue and are granted identically.
 
-        The fast path returns a plain 1-tuple rather than a generator
-        (one less frame per use on the kernel's hottest chain); the
-        release runs as the hold event's first callback — before the
-        waiting process resumes, exactly when the generator form's
-        ``finally`` would have run it, so event ordering is unchanged.
-        The hold event always carries value ``None``, which is what
-        makes ``yield from`` over a plain tuple legal (PEP 380 sends
-        ``None`` as ``next()``).
+        Returns a plain 1-tuple rather than a generator (one less frame
+        per use on the kernel's hottest chain); the release runs as the
+        hold event's first callback — before the waiting process
+        resumes, exactly when the classic chain's ``release`` would
+        have run, so event ordering is unchanged.  The hold event
+        always carries value ``None``, which is what makes
+        ``yield from`` over a plain tuple legal (PEP 380 sends ``None``
+        as ``next()``).
         """
         sim = self.sim
-        if not sim.fastpath:
-            return self._use_classic(duration)
         # Inlined Event(sim) + _hold setup (one Python frame per use
         # saved on the kernel's single hottest allocation site).
         event = Event.__new__(Event)
@@ -140,8 +137,8 @@ class Resource:
         # Busy time is credited as the hold duration up front: every
         # use() holds for exactly ``duration`` once granted, so the sum
         # of durations equals the in_use-integral the classic
-        # _account() bookkeeping computes — at any drained instant,
-        # which is when utilisation is read.
+        # _account() bookkeeping computes at any drained instant;
+        # utilisation() subtracts what has not elapsed yet.
         self.busy_time += duration
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -158,9 +155,7 @@ class Resource:
     def _release_after_hold(self, _event: Event) -> None:
         """Inline release (no Grant token) when a hold event fires.
 
-        Only ever registered from :meth:`use`'s fast path, so the
-        urgent-lane append can be inlined unconditionally (an URGENT
-        delay-0 succeed is exactly this when ``sim.fastpath`` is on).
+        The urgent-lane append is an inlined URGENT delay-0 succeed.
         """
         if self._waiting:
             waiter, next_grant = self._waiting.popleft()
@@ -170,16 +165,6 @@ class Resource:
             self.sim._urgent.append(waiter)
         else:
             self._in_use -= 1
-
-    def _use_classic(self, duration: float
-                     ) -> typing.Generator[Event, typing.Any, None]:
-        """The unbatched request→timeout→release chain
-        (``REPRO_FASTPATH=0``)."""
-        grant = yield self.request()
-        try:
-            yield self.sim.timeout(duration)
-        finally:
-            self.release(grant)
 
     # -- introspection ------------------------------------------------------
 
@@ -196,18 +181,61 @@ class Resource:
         self.busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
 
+    def _holds_ahead(self) -> tuple[int, float]:
+        """(:meth:`use` holds granted and still running, the busy time
+        queued and running holds will add after now).
+
+        One scan of the event queues at read time, so :meth:`use`
+        keeps its up-front credit and pays nothing per call.
+        """
+        if not self._in_use and not self._waiting:
+            return 0, 0.0
+        sim = self.sim
+        release = self._release_cb
+        now = sim.now
+        held = 0
+        ahead = 0.0
+        for event in sim._urgent:  # granted, not yet re-keyed
+            hold = event._hold
+            if hold is not None and event.callbacks[0] is release:
+                held += 1
+                ahead += hold
+        for when, _priority, _seq, event in sim._heap:  # re-keyed
+            callbacks = event.callbacks
+            if callbacks and callbacks[0] is release:
+                held += 1
+                ahead += when - now
+        for event, grant in self._waiting:
+            if grant is None:
+                assert event._hold is not None
+                ahead += event._hold
+        return held, ahead
+
     def utilisation(self, horizon: float | None = None) -> float:
-        """Fraction of ``horizon`` (default: now) this resource was busy."""
-        self._account()
-        horizon = self.sim.now if horizon is None else horizon
+        """Fraction of ``horizon`` (default: now) this resource was busy.
+
+        Reads only, so a mid-run read never moves a later one.
+        :meth:`request` grants are integrated up to now; :meth:`use`
+        holds are credited in full when issued, so the part of each
+        queued or running hold that lies after now is taken back out.
+        Once the run drains both corrections are zero.  The two terms
+        assume one protocol per resource (as every resource in the
+        model is driven).
+        """
+        now = self.sim.now
+        horizon = now if horizon is None else horizon
         if horizon <= 0:
             return 0.0
-        return self.busy_time / (horizon * self.capacity)
+        held, ahead = self._holds_ahead()
+        busy = (self.busy_time
+                + (self._in_use - held) * (now - self._last_change)
+                - ahead)
+        return busy / (horizon * self.capacity)
 
     def conformance_snapshot(self) -> dict[str, typing.Any]:
         """Introspection as plain data (the ``REPRO_VERIFY`` monitor
-        reads this after the event loop drains; valid any time, but the
-        fast path credits each hold's busy time at issue, so busy-time
+        reads this after the event loop drains; valid any time, but
+        :meth:`use` credits each hold's busy time at issue, so busy-time
         comparisons only balance once no holds are in flight)."""
         return {
             "name": self.name,
@@ -240,31 +268,18 @@ class Store:
         if self._getters:
             getter = self._getters.popleft()
             self.total_gets += 1
-            sim = self.sim
-            if sim.fastpath:
-                # Inlined succeed() for the urgent lane (delay-0
-                # URGENT events go to the FIFO deque, never the heap)
-                # — one of the kernel's hottest schedule sites.
-                getter._triggered = True
-                getter._value = item
-                sim._urgent.append(getter)
-            else:
-                getter.succeed(item, priority=PRIORITY_URGENT)
+            # Inlined succeed() for the urgent lane (delay-0 URGENT
+            # events go to the FIFO deque, never the heap) — one of the
+            # kernel's hottest schedule sites.
+            getter._triggered = True
+            getter._value = item
+            self.sim._urgent.append(getter)
         else:
             self._items.append(item)
 
     def get(self) -> Event:
         """An event that fires with the next item."""
         sim = self.sim
-        if not sim.fastpath:
-            event = Event(sim)
-            if self._items:
-                self.total_gets += 1
-                event.succeed(self._items.popleft(),
-                              priority=PRIORITY_URGENT)
-            else:
-                self._getters.append(event)
-            return event
         # Inlined Event(sim) + urgent-lane succeed (one mailbox get per
         # delivered message makes this a kernel-rate allocation site).
         event = Event.__new__(Event)

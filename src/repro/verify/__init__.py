@@ -16,9 +16,9 @@ Appendix-A analytic model:
   catalog statistics and :mod:`repro.costs` constants and asserts the
   simulated result lands within a documented tolerance band.
 * :mod:`repro.verify.matrix` — a differential harness running the
-  same workload through every ``REPRO_VECTOR`` x ``REPRO_FASTPATH``
-  combination and asserting bit-identical simulated times plus all
-  invariants in each mode.
+  same workload under both ``REPRO_COLUMNAR`` relation
+  representations and asserting bit-identical simulated times plus
+  all invariants in each mode.
 
 Everything is gated by the ``REPRO_VERIFY`` environment variable
 (default off): with the gate closed no monitor is constructed and the

@@ -1,14 +1,11 @@
 """Differential mode-matrix harness (``repro.verify.matrix``).
 
-The simulator has three performance planes that must not change any
-simulated result: the vectorized page-batch data plane
-(``REPRO_VECTOR``), the event-loop urgent fastpath
-(``REPRO_FASTPATH``) and the columnar relation storage
-(``REPRO_COLUMNAR``).  This module runs one workload through the full
-eight-combination cube — each on a fresh machine, with the
-conformance monitor (``REPRO_VERIFY=1``) active — and asserts that
-every mode produces **bit-identical** response times and per-phase
-timings.  Any
+The relation storage has two representations that must not change
+any simulated result: numpy column pages and tuple lists
+(``REPRO_COLUMNAR``).  This module runs one workload under both —
+each on a fresh machine, with the conformance monitor
+(``REPRO_VERIFY=1``) active — and asserts that they produce
+**bit-identical** response times and per-phase timings.  Any
 invariant violation inside a combo surfaces as a
 :class:`~repro.verify.ConformanceError` from that run; any divergence
 *between* combos raises one from the harness itself.
@@ -34,26 +31,20 @@ import typing
 
 from repro.verify import ConformanceError
 
-#: (vector, fastpath, columnar) combinations — the full cube, the
-#: all-defaults reference combo first.
-MODES: tuple[tuple[int, int, int], ...] = tuple(
-    (vector, fastpath, columnar)
-    for vector in (1, 0)
-    for fastpath in (1, 0)
-    for columnar in (1, 0))
+#: (columnar,) combinations, the default reference combo first.
+MODES: tuple[tuple[int], ...] = ((1,), (0,))
 
 
 @contextlib.contextmanager
-def mode_env(vector: int, fastpath: int,
-             verify: bool = True,
+def mode_env(verify: bool = True,
              columnar: int | None = None,
              compiled: str | None = None) -> typing.Iterator[None]:
-    """Pin the data-plane/fastpath/verify environment for one run.
+    """Pin the verify/storage/backend environment for one run.
 
     The flags are read at machine- and driver-construction time, so a
     fresh machine built inside this context runs fully in the
-    requested mode.  ``columnar`` additionally pins
-    ``REPRO_COLUMNAR`` — note the relation *representation* is decided
+    requested mode.  ``columnar`` pins ``REPRO_COLUMNAR`` — note the
+    relation *representation* is decided
     when a database is generated, so harnesses convert the database
     per combo (:meth:`WisconsinDatabase.with_representation`) rather
     than relying on the flag alone.  ``compiled`` pins
@@ -61,11 +52,7 @@ def mode_env(vector: int, fastpath: int,
     process-global, also re-activates the kernel backend on entry and
     restores the ambient selection on exit.
     """
-    desired = {
-        "REPRO_VECTOR": str(vector),
-        "REPRO_FASTPATH": str(fastpath),
-        "REPRO_VERIFY": "1" if verify else "0",
-    }
+    desired = {"REPRO_VERIFY": "1" if verify else "0"}
     if columnar is not None:
         desired["REPRO_COLUMNAR"] = str(columnar)
     if compiled is not None:
@@ -96,67 +83,52 @@ def _phase_signature(result: typing.Any) -> list[tuple[str, str, str]]:
 def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
                     memory_ratio: float, configuration: str = "local",
                     **spec_kwargs: typing.Any) -> dict:
-    """One workload through the VECTOR × FASTPATH × COLUMNAR cube.
+    """One workload under both relation representations.
 
     Every combo runs on a fresh machine with the conformance monitor
-    enabled — the columnar combos against the database converted to
-    page fragments, the others against tuple-list fragments — and the
+    enabled — the columnar combo against the database converted to
+    page fragments, the other against tuple-list fragments — and the
     harness then asserts bit-identical response times and phase
-    timings across all eight. Returns a picklable report with the
+    timings across them. Returns a picklable report with the
     reference result attached under ``"result"``.
     """
     from repro.experiments.runner import run_sweep_point
 
     from repro.core import backend
 
-    runs = []
-    for vector, fastpath, columnar in MODES:
-        mode_db = (db if db is None
-                   else db.with_representation(bool(columnar)))
-        with mode_env(vector, fastpath, verify=True,
-                      columnar=columnar):
-            point = run_sweep_point(config, mode_db, algorithm,
-                                    memory_ratio,
-                                    configuration=configuration,
-                                    **spec_kwargs)
-        runs.append(((vector, fastpath, columnar), point))
-
     # REPRO_COMPILED axis, availability-gated: when a compiled engine
-    # loads on this host, rerun a representative subset of the cube
-    # with the backend pinned both ways (the full 8 x 2 cube would
-    # double the harness for an axis whose kernels are already
-    # property-tested element-wise).  The subset covers the kernels'
-    # consumers: reference combo (vector + columnar) and the
-    # tuple-list combo.
+    # loads on this host, both combos rerun with the backend pinned
+    # both ways.
     compiled_modes: list[str] = []
     if any(status == "ok"
            for status in backend.available_engines().values()):
         compiled_modes = ["0", "1"]
-        for compiled in compiled_modes:
-            for vector, fastpath, columnar in (MODES[0], (1, 1, 0)):
-                mode_db = (db if db is None
-                           else db.with_representation(bool(columnar)))
-                with mode_env(vector, fastpath, verify=True,
-                              columnar=columnar, compiled=compiled):
-                    point = run_sweep_point(config, mode_db, algorithm,
-                                            memory_ratio,
-                                            configuration=configuration,
-                                            **spec_kwargs)
-                runs.append(((vector, fastpath, columnar), point))
+    runs = []
+    for compiled in (None, *compiled_modes):
+        for mode in MODES:
+            (columnar,) = mode
+            mode_db = (db if db is None
+                       else db.with_representation(bool(columnar)))
+            with mode_env(verify=True, columnar=columnar,
+                          compiled=compiled):
+                point = run_sweep_point(config, mode_db, algorithm,
+                                        memory_ratio,
+                                        configuration=configuration,
+                                        **spec_kwargs)
+            runs.append((mode, point))
 
     (_, reference), *rest = runs
     ref_sig = _phase_signature(reference.result)
     ref_time = repr(reference.result.response_time)
-    for (vector, fastpath, columnar), point in rest:
+    for mode, point in rest:
         time = repr(point.result.response_time)
         if time != ref_time:
             raise ConformanceError(
                 f"{algorithm} response time diverges across modes: "
-                f"vector={vector} fastpath={fastpath} "
-                f"columnar={columnar} "
+                f"columnar={mode[0]} "
                 f"produced {time}, reference {ref_time}",
                 invariant="mode-matrix",
-                deltas={"mode": [vector, fastpath, columnar],
+                deltas={"mode": list(mode),
                         "response_time": time,
                         "reference": ref_time})
         sig = _phase_signature(point.result)
@@ -166,19 +138,17 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
             ] or [(ref_sig[len(sig):], sig[len(ref_sig):])]
             raise ConformanceError(
                 f"{algorithm} phase timings diverge across modes "
-                f"(vector={vector} fastpath={fastpath} "
-                f"columnar={columnar})",
+                f"(columnar={mode[0]})",
                 invariant="mode-matrix",
-                deltas={"mode": [vector, fastpath, columnar],
+                deltas={"mode": list(mode),
                         "diverging_phases": diverging[:4]})
     return {
         "algorithm": algorithm,
         "memory_ratio": memory_ratio,
         "configuration": configuration,
         "response_time": reference.result.response_time,
-        # The base cube only; the compiled-axis reruns share mode
-        # tuples with it (they are the same combos pinned 0/1) and
-        # are reported via "compiled_modes".
+        # The base combos only; the compiled-axis reruns repeat them
+        # pinned 0/1 and are reported via "compiled_modes".
         "modes": [list(mode) for mode, _ in runs[:len(MODES)]],
         "compiled_modes": compiled_modes,
         "result": reference.result,
@@ -194,7 +164,7 @@ def run_figure5_matrix(scale: float,
                        algorithms: typing.Sequence[str] | None = None,
                        ) -> list[dict]:
     """The Figure 5 workload (local HPJA joinABprime) through the
-    matrix: every algorithm × memory ratio, all eight mode combos,
+    matrix: every algorithm × memory ratio, both mode combos,
     all invariants, plus the analytic assessment of the reference
     run."""
     from repro.experiments.config import (
@@ -228,9 +198,8 @@ def run_figure5_matrix(scale: float,
 def main(argv: typing.Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify.matrix",
-        description="Differential REPRO_VECTOR x REPRO_FASTPATH x "
-                    "REPRO_COLUMNAR conformance matrix over the "
-                    "Figure 5 workload.")
+        description="Differential REPRO_COLUMNAR conformance matrix "
+                    "over the Figure 5 workload.")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="Wisconsin scale factor (default 0.05)")
     parser.add_argument("--out", type=pathlib.Path, default=None,

@@ -241,8 +241,8 @@ class TestDispatcher:
 
 @pytest.mark.skipif(not ENGINES, reason="no compiled engine loadable")
 def test_matrix_pinned_both_ways_on_randomized_workload():
-    """A randomized (seeded) figure-5 workload through the mode cube
-    with REPRO_COMPILED pinned 0 and 1 — simulated results identical.
+    """A randomized (seeded) figure-5 workload on column pages with
+    REPRO_COMPILED pinned 0 and 1 — simulated results identical.
     """
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_sweep_point, sweep_database
@@ -252,7 +252,7 @@ def test_matrix_pinned_both_ways_on_randomized_workload():
     db = sweep_database(config, hpja=True)
     times = {}
     for compiled in ("0", "1"):
-        with mode_env(1, 1, columnar=1, compiled=compiled):
+        with mode_env(columnar=1, compiled=compiled):
             point = run_sweep_point(config, db.with_representation(True),
                                     "hybrid", 1.0)
         times[compiled] = (repr(point.result.response_time),

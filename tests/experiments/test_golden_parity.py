@@ -12,17 +12,11 @@ implementation produced.  Two independent anchors enforce that:
   reports checked in with the seed, compared at their 2-decimal
   precision.
 
-Both are checked with the fast paths on (default) and off
-(``REPRO_FASTPATH=0``, the classic request→grant→timeout→release
-kernel), so the switch itself is also covered.
-
-The vectorized page-batch data plane (``REPRO_VECTOR`` — see
-``repro.core.kernels``) and the columnar relation storage
-(``REPRO_COLUMNAR`` — see ``repro.catalog.pages``) make the same
-bit-parity promise: figure 5 runs the full FASTPATH × VECTOR ×
-COLUMNAR cube against the goldens; figures 7 and 14 (the slower
-sweeps) run a subset, each with a tuple-list (``REPRO_COLUMNAR=0``)
-spot check.
+The vectorized page-batch data plane (see ``repro.core.kernels``)
+makes the same promise against the same anchors.  The columnar
+relation storage (``REPRO_COLUMNAR`` — see ``repro.catalog.pages``)
+is a pure representation choice, so every figure runs under both
+representations.
 
 Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
@@ -47,38 +41,29 @@ from repro.experiments.config import ExperimentConfig
 RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 CONFIG = ExperimentConfig(scale=0.1, seed=1)
 
-#: (figure, REPRO_FASTPATH, REPRO_VECTOR, REPRO_COLUMNAR)
-#: combinations under test.  (0, 0, 0) is the seed code path; figure
-#: 5 covers the full fastpath × vector × columnar cube; figures 7 and
-#: 14 (the slower sweeps — figure14 is 36 remote points) run a
-#: subset, each anchored by one tuple-list (columnar=0) combo.
+#: (figure, REPRO_COLUMNAR) combinations under test.
 SCENARIOS = [
-    ("figure5", fastpath, vector, columnar)
-    for fastpath in ("1", "0")
-    for vector in ("1", "0")
+    (name, columnar)
+    for name in ("figure5", "figure7", "figure14")
     for columnar in ("1", "0")
-] + [
-    ("figure7", "1", "1", "1"),
-    ("figure7", "0", "1", "1"),
-    ("figure7", "1", "0", "1"),
-    ("figure7", "0", "0", "1"),
-    ("figure7", "1", "1", "0"),
-    ("figure14", "1", "1", "1"),
-    ("figure14", "0", "1", "1"),
-    ("figure14", "1", "1", "0"),
 ]
+
+
+def scenario_ids(scenarios: list[tuple[str, str]]) -> list[str]:
+    """``figure-1-1-columnar``: the two middle positions once named
+    kernel and data-plane modes that are now the only ones, and stay
+    so each cell keeps its id."""
+    return [f"{name}-1-1-{columnar}" for name, columnar in scenarios]
+
 
 _CACHE: dict = {}
 
 
-def sweep(name: str, fastpath: str, vector: str,
-          columnar: str, monkeypatch) -> figures.Figure:
-    key = (name, fastpath, vector, columnar)
+def sweep(name: str, columnar: str, monkeypatch) -> figures.Figure:
+    key = (name, columnar)
     if key not in _CACHE:
         monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
         monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
-        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-        monkeypatch.setenv("REPRO_VECTOR", vector)
         monkeypatch.setenv("REPRO_COLUMNAR", columnar)
         _CACHE[key] = getattr(figures, name)(CONFIG)
     return _CACHE[key]
@@ -90,10 +75,10 @@ def golden() -> dict:
         return json.load(fh)["figures"]
 
 
-@pytest.mark.parametrize("name,fastpath,vector,columnar", SCENARIOS)
-def test_bit_identical_to_golden(name, fastpath, vector, columnar,
-                                 golden, monkeypatch):
-    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
+@pytest.mark.parametrize("name,columnar", SCENARIOS,
+                         ids=scenario_ids(SCENARIOS))
+def test_bit_identical_to_golden(name, columnar, golden, monkeypatch):
+    figure = sweep(name, columnar, monkeypatch)
     expected = golden[name]
     assert {s.label for s in figure.series} == set(expected)
     for series in figure.series:
@@ -102,8 +87,7 @@ def test_bit_identical_to_golden(name, fastpath, vector, columnar,
         for point in series.points:
             assert repr(point.response_time) == want[repr(point.x)], (
                 f"{name}/{series.label} diverged at x={point.x} "
-                f"(REPRO_FASTPATH={fastpath}, "
-                f"REPRO_VECTOR={vector}, REPRO_COLUMNAR={columnar})")
+                f"(REPRO_COLUMNAR={columnar})")
 
 
 def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
@@ -129,11 +113,13 @@ def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
     return rows
 
 
-@pytest.mark.parametrize("name,fastpath,vector,columnar",
-                         [s for s in SCENARIOS if s[0] != "figure14"])
-def test_matches_rendered_report(name, fastpath, vector, columnar,
-                                 monkeypatch):
-    figure = sweep(name, fastpath, vector, columnar, monkeypatch)
+RENDERED = [s for s in SCENARIOS if s[0] != "figure14"]
+
+
+@pytest.mark.parametrize("name,columnar", RENDERED,
+                         ids=scenario_ids(RENDERED))
+def test_matches_rendered_report(name, columnar, monkeypatch):
+    figure = sweep(name, columnar, monkeypatch)
     stored = _parse_rendered(RESULTS / f"{name}.txt")
     for series in figure.series:
         row = stored[series.label]

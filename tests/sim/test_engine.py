@@ -11,6 +11,7 @@ from repro.sim import Simulator
 from repro.sim.engine import SimulationError
 from repro.sim.events import PRIORITY_URGENT
 from repro.sim.resources import Resource, Store
+from tests.sim.classic import classic_use
 
 
 def test_clock_starts_at_zero(sim):
@@ -143,14 +144,15 @@ def test_large_heap_order():
 # ---------------------------------------------------------------------------
 
 #: The inlined run() with every kernel switch at its default.
-INLINED = {"REPRO_VERIFY": "0", "REPRO_AUDIT": "0", "REPRO_FASTPATH": "1"}
+INLINED = {"REPRO_VERIFY": "0", "REPRO_AUDIT": "0"}
 
 
-def run_traced(plan, env, bounds=()):
+def run_traced(plan, env, bounds=(), classic=False):
     """Run one randomized workload, returning its full event trace.
 
     ``bounds`` drives the same plan through ``run(until=bound)`` once
-    per bound before the final drain.
+    per bound before the final drain; ``classic`` spells every
+    resource use out as the request→timeout→release chain.
     """
     # The kernel switches are read at construction (and monkeypatch
     # mixes badly with @given).
@@ -167,7 +169,11 @@ def run_traced(plan, env, bounds=()):
             if tag == "timeout":
                 yield sim.timeout(action[1])
             elif tag == "use":
-                yield from resources[action[1]].use(action[2])
+                resource = resources[action[1]]
+                if classic:
+                    yield from classic_use(sim, resource, action[2])
+                else:
+                    yield from resource.use(action[2])
             elif tag == "put":
                 stores[action[1]].put((pid, step))
                 yield sim.timeout(0.0)
@@ -203,7 +209,7 @@ def test_every_run_loop_yields_the_step_loop_trace(plan):
     """The step() loop (``REPRO_VERIFY=1``) is the oracle; the inlined
     run(), the observe-only auditor and a bounded run in ten slices
     must reproduce its trace, clock and event count bit-for-bit.  The
-    classic kernel (``REPRO_FASTPATH=0``) fires two events per
+    classic request→timeout→release chain fires two events per
     resource use where grant-and-hold fires one, so it is held to the
     trace and clock only."""
     oracle = run_traced(plan, dict(INLINED, REPRO_VERIFY="1"))
@@ -212,5 +218,4 @@ def test_every_run_loop_yields_the_step_loop_trace(plan):
     end = float(oracle[1])
     slices = [end * k / 10 for k in range(1, 10)] + [end]
     assert run_traced(plan, INLINED, bounds=slices) == oracle
-    assert run_traced(plan, dict(INLINED, REPRO_FASTPATH="0"))[:2] \
-        == oracle[:2]
+    assert run_traced(plan, INLINED, classic=True)[:2] == oracle[:2]

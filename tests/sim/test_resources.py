@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Resource, Simulator, Store
+from tests.sim.classic import classic_use
 
 
 class TestResourceMutualExclusion:
@@ -132,6 +133,55 @@ class TestResourceStatistics:
         sim.process(worker())
         sim.run()
         assert resource.total_acquisitions == 3
+
+    def test_mid_run_read_counts_only_elapsed_hold(self, sim):
+        resource = Resource(sim, capacity=1)
+
+        def worker():
+            yield from resource.use(1.0)
+
+        sim.process(worker())
+        sim.run(until=0.5)
+        assert resource.utilisation() == 1.0
+        sim.run()
+        assert resource.utilisation() == 1.0
+
+    @given(jobs=st.lists(
+               st.tuples(st.integers(0, 12),   # arrival, in quarters
+                         st.integers(1, 6)),   # hold, in quarters
+               min_size=1, max_size=12),
+           capacity=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_use_reads_like_the_classic_chain_mid_run(self, jobs,
+                                                     capacity):
+        """use() credits a hold's busy time when it is issued; a read
+        at any run(until=...) slice must equal the classic chain's
+        integral over what has elapsed, and must not move a later
+        read.  Quarter-second times keep every float exact."""
+        slices = [k / 4 for k in range(1, 4 * 5)]
+
+        def reads(protocol, bounds):
+            sim = Simulator()
+            resource = Resource(sim, capacity=capacity)
+
+            def worker(arrival, hold):
+                yield sim.timeout(arrival / 4)
+                yield from protocol(sim, resource, hold / 4)
+
+            for arrival, hold in jobs:
+                sim.process(worker(arrival, hold))
+            seen = []
+            for bound in bounds:
+                sim.run(until=bound)
+                seen += [resource.utilisation(), resource.utilisation()]
+            sim.run()
+            return seen + [resource.utilisation()]
+
+        def use(sim, resource, duration):
+            return resource.use(duration)
+
+        assert reads(use, slices) == reads(classic_use, slices)
+        assert reads(use, slices)[-1] == reads(use, ())[-1]
 
 
 class TestStore:

@@ -1,7 +1,7 @@
 """Differential mode-matrix tests (``repro.verify.matrix``).
 
-The eight REPRO_VECTOR x REPRO_FASTPATH x REPRO_COLUMNAR
-combinations must be simulation-invisible: randomized
+Both REPRO_COLUMNAR relation representations must be
+simulation-invisible: randomized
 small workloads (algorithm, memory ratio, configuration, declustering,
 skew) are pushed through :func:`run_mode_matrix`, which runs each
 combo on a fresh machine with all invariants armed and asserts
@@ -38,27 +38,24 @@ CASES = [
 
 class TestModeEnv:
     def test_sets_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR", "1")
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        monkeypatch.setenv("REPRO_COLUMNAR", "1")
         monkeypatch.setenv("REPRO_VERIFY", "0")
-        with mode_env(0, 1, verify=True):
-            assert os.environ["REPRO_VECTOR"] == "0"
-            assert os.environ["REPRO_FASTPATH"] == "1"
+        with mode_env(verify=True, columnar=0):
+            assert os.environ["REPRO_COLUMNAR"] == "0"
             assert os.environ["REPRO_VERIFY"] == "1"
-        assert os.environ["REPRO_VECTOR"] == "1"
-        assert "REPRO_FASTPATH" not in os.environ
+        assert os.environ["REPRO_COLUMNAR"] == "1"
         assert os.environ["REPRO_VERIFY"] == "0"
 
     def test_restores_on_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
+        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
         with pytest.raises(RuntimeError):
-            with mode_env(1, 1):
+            with mode_env(columnar=1):
                 raise RuntimeError("boom")
-        assert "REPRO_VECTOR" not in os.environ
+        assert "REPRO_COLUMNAR" not in os.environ
 
 
 class TestModeMatrix:
-    def test_reports_all_eight_modes(self, tiny_db):
+    def test_reports_every_mode(self, tiny_db):
         report = run_mode_matrix(CONFIG, tiny_db, "hybrid", 1.0)
         assert report["modes"] == [list(m) for m in MODES]
         assert report["algorithm"] == "hybrid"
@@ -97,21 +94,21 @@ class TestDivergenceDetection:
 
     def test_response_time_divergence_raises(self, monkeypatch):
         def fake_run(config, db, algorithm, ratio, **kwargs):
-            vector = os.environ["REPRO_VECTOR"]
-            return self._fake_point(1.0 if vector == "1" else 1.5)
+            columnar = os.environ["REPRO_COLUMNAR"]
+            return self._fake_point(1.0 if columnar == "1" else 1.5)
 
         import repro.experiments.runner as runner
         monkeypatch.setattr(runner, "run_sweep_point", fake_run)
         with pytest.raises(ConformanceError) as info:
             run_mode_matrix(CONFIG, None, "hybrid", 1.0)
         assert info.value.invariant == "mode-matrix"
-        assert info.value.deltas["mode"] == [0, 1, 1]
+        assert info.value.deltas["mode"] == [0]
 
     def test_phase_timing_divergence_raises(self, monkeypatch):
         def fake_run(config, db, algorithm, ratio, **kwargs):
-            fastpath = os.environ["REPRO_FASTPATH"]
+            columnar = os.environ["REPRO_COLUMNAR"]
             point = self._fake_point(1.0)
-            if fastpath == "0":
+            if columnar == "0":
                 point.result.phases[0].end = 1.0 + 1e-12
             return point
 
