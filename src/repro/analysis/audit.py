@@ -74,15 +74,20 @@ DEFAULT_BENIGN_LABELS = ("done:*", "process:*", "resource:*")
 def event_label(event: "Event") -> str:
     """A human-readable, allocator-independent label for an event.
 
-    Prefers the named owner of the event's first callback (the process
-    or resource the firing will touch), falling back to the event's
-    own name (a completing :class:`Process`) and finally its type.
+    A resource hold expiry is labelled by the resource it releases;
+    otherwise the named owner of the event's first callback (the
+    process the firing will touch) labels it, falling back to the
+    event's own name (a completing :class:`Process`) and finally its
+    type.
 
     Owners may precompute their label in an ``audit_label`` attribute
     (:class:`~repro.sim.process.Process` and
     :class:`~repro.sim.resources.Resource` do), hoisting the
     type/name introspection to owner construction.
     """
+    resource = event._resource
+    if resource is not None:
+        return resource.audit_label
     for callback in event.callbacks:
         owner = getattr(callback, "__self__", None)
         if owner is None:
@@ -174,8 +179,7 @@ class TieAuditor:
         current instant by an earlier fire is causally ordered, not
         tied, and coexistence is exactly what separates the two cases.
 
-        Must be called *before* the event fires: firing clears the
-        callback list the label is derived from.  Hold re-keys and
+        Must be called *before* the event fires.  Hold re-keys and
         urgent-lane pops are not ties (the FIFO lane's order is
         semantically first-in-first-out) and must not be reported.
         """

@@ -105,7 +105,8 @@ STORE_METHODS = frozenset({"put", "get"})
 #: Simulator attributes/methods model code must never reach.
 KERNEL_PRIVATE_ATTRS = frozenset({
     "_heap", "_urgent", "_sequence", "_crashed", "_event_serial",
-    "_fire", "_schedule", "_resume",
+    "_fire", "_schedule", "_resume", "_resume_cb", "_rekey",
+    "_sole_callback", "_resource", "_release_hold", "_settle",
 })
 KERNEL_DRIVE_METHODS = frozenset({"run", "step"})
 

@@ -38,10 +38,9 @@ class Node:
         """Hold this node's CPU for ``seconds`` (``yield from`` this).
 
         Returns the underlying resource generator directly (one less
-        generator frame on the kernel's hottest delegation chain).
+        generator frame on the kernel's hottest delegation chain);
+        ``Resource.use`` rejects a negative or NaN duration.
         """
-        if seconds < 0:
-            raise ValueError(f"negative CPU time: {seconds!r}")
         if seconds == 0:
             return ()
         return self.cpu.use(seconds)

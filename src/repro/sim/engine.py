@@ -12,8 +12,8 @@ a priority class.
 
 Fast paths
 ----------
-Three kernel optimisations shrink the constant factor without changing a
-single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
+These kernel optimisations shrink the constant factor without changing
+a single simulated timestamp or kernel count (see DESIGN.md §7):
 
 * **grant-and-hold events** — :meth:`repro.sim.resources.Resource.use`
   marks its grant event with a hold duration; the run loop re-keys such
@@ -22,7 +22,9 @@ single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
   at exactly the moment the classic request→grant→timeout chain would
   have allocated the timeout's, so heap ordering — and therefore every
   simulated time — is bit-identical, while one full generator resume
-  per resource use is skipped.
+  per resource use is skipped.  The hold event names its resource in
+  ``_resource``; the loop releases it as the event fires, before any
+  callback.
 * **an urgent FIFO lane** — every URGENT schedule in the kernel is
   delay-0 (resource grants, grant-and-hold first legs, store puts), so
   such events are appended to a plain deque instead of the heap.  All
@@ -33,10 +35,20 @@ single simulated timestamp (see DESIGN.md, "Kernel fast paths"):
   rejects an URGENT schedule with a non-zero delay to keep the
   invariant honest.
 * **an inlined run loop** — :meth:`run` performs the pop/fire cycle
-  with hoisted locals instead of delegating to :meth:`step`.
+  with hoisted locals instead of delegating to :meth:`step`.  When a
+  re-key leaves the urgent lane empty, the push and the next pop are
+  one ``heappushpop`` (heap keys are unique, so the pop is the same).
+* **synchronous fast-forward** — while the loop fires an event whose
+  only callback is the caller (``_sole_callback``), ``Resource.use``
+  and ``Store.get`` complete in place whenever nothing else could
+  happen before the queue round trip they replace would end; the
+  ``sync_holds``/``sync_gets`` counters show how often.
 
-The classic chain survives as the public
-:meth:`~repro.sim.resources.Resource.request` /
+Only the unbounded, unaudited :meth:`run` takes the inlined loop and
+the synchronous paths; ``run(until=…)``, ``REPRO_AUDIT`` and
+``REPRO_VERIFY`` take the :meth:`step` loop, which is the oracle the
+kernel tests hold the inlined one to.  The classic chain survives as
+the public :meth:`~repro.sim.resources.Resource.request` /
 :meth:`~repro.sim.resources.Resource.release` idiom; the kernel tests
 hold ``use()`` to its clock and trace.
 """
@@ -108,6 +120,11 @@ class Simulator:
         #: event firing before the current simulated time.
         from repro.verify import verify_enabled
         self.verify: bool = verify_enabled()
+        #: True while the inlined run() is not firing a multi-callback
+        #: event: model code then runs only as the sole callback of the
+        #: event being fired, and Resource.use / Store.get may complete
+        #: synchronously (see the module docstring).
+        self._sole_callback = False
         # -- diagnostics counters (satellite: kernel observability) ----
         #: Events whose callbacks have run.
         self.events_fired = 0
@@ -116,6 +133,10 @@ class Simulator:
         self.fastpath_holds = 0
         #: High-water mark of the event queue (heap plus urgent lane).
         self.heap_peak = 0
+        #: Holds and mailbox gets completed synchronously (each is
+        #: also counted in events_fired, and a hold in fastpath_holds).
+        self.sync_holds = 0
+        self.sync_gets = 0
 
     # -- event factories ----------------------------------------------------
 
@@ -148,8 +169,9 @@ class Simulator:
 
     def _schedule(self, event: Event, delay: float,
                   priority: int = PRIORITY_NORMAL) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(
+                f"cannot schedule into the past or at NaN: {delay!r}")
         if priority == PRIORITY_URGENT:
             # Urgent FIFO lane: (now, URGENT) entries pop before
             # anything else in the heap and tie-break in scheduling
@@ -178,6 +200,8 @@ class Simulator:
             "fastpath_holds": self.fastpath_holds,
             "heap_peak": self.heap_peak,
             "queued_events": self.queued_events,
+            "sync_holds": self.sync_holds,
+            "sync_gets": self.sync_gets,
         }
         if self.auditor is not None:
             counters.update(self.auditor.counters())
@@ -194,7 +218,7 @@ class Simulator:
     def step(self) -> None:
         """Fire the single next event.
 
-        Held (grant-and-hold) heap entries encountered on the way are
+        Held (grant-and-hold) urgent entries encountered on the way are
         re-keyed transparently; one call always fires exactly one
         event.
         """
@@ -203,6 +227,10 @@ class Simulator:
         while True:
             if urgent:
                 event = urgent.popleft()
+                hold = event._hold
+                if hold is not None:
+                    self._rekey(event, hold)
+                    continue
                 from_heap = False
                 priority = PRIORITY_URGENT
             elif heap:
@@ -213,14 +241,6 @@ class Simulator:
                 from_heap = True
             else:
                 raise SimulationError("nothing scheduled")
-            hold = event._hold
-            if hold is not None:
-                event._hold = None
-                self._sequence += 1
-                heapq.heappush(heap, (self.now + hold, PRIORITY_NORMAL,
-                                      self._sequence, event))
-                self.fastpath_holds += 1
-                continue
             # Urgent-lane pops are excluded by design: that lane is
             # semantically FIFO, so its insertion order *is* its
             # specified order, not an arbitrary tie-break.  The tie
@@ -239,6 +259,16 @@ class Simulator:
                 raise process.crash_error
             return
 
+    def _rekey(self, event: Event, hold: float) -> None:
+        """Move a grant-and-hold event, on its first pop, ``hold``
+        seconds ahead (the sequence number is taken at the instant the
+        classic chain would have scheduled its timeout)."""
+        event._hold = None
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now + hold, PRIORITY_NORMAL,
+                                    self._sequence, event))
+        self.fastpath_holds += 1
+
     def run(self, until: float | None = None) -> None:
         """Run until the heap drains (or the clock passes ``until``).
 
@@ -254,17 +284,15 @@ class Simulator:
             raise ValueError(
                 f"cannot run into the past: until={until!r} is before "
                 f"now={self.now!r}")
-        if self.auditor is not None or self.verify:
-            # The audited/verified path pays for observability with the
-            # plain step() loop; simulated times are identical either
-            # way (the auditor only watches pops, it never reorders
-            # them, and step() checks the clock never moves backwards).
+        if until is not None or self.auditor is not None or self.verify:
+            # Bounded, audited and verified runs take the plain step()
+            # loop; simulated times are identical either way (the
+            # auditor only watches pops, it never reorders them, and
+            # step() checks the clock never moves backwards).
             self._run_audited(until)
             return
         # Inlined pop/fire cycle — semantically identical to calling
-        # step() in a loop, with the hot locals hoisted and the
-        # bounded-run (``until``) check compiled out of the common
-        # run-to-completion case.
+        # step() in a loop, with the hot locals hoisted.
         #
         # Cyclic GC is deferred for the duration of the loop: the
         # kernel allocates millions of short-lived events and frames,
@@ -274,85 +302,86 @@ class Simulator:
         heap = self._heap
         urgent = self._urgent
         urgent_popleft = urgent.popleft
+        urgent_append = urgent.append
         heappop = heapq.heappop
         heappush = heapq.heappush
+        heappushpop = heapq.heappushpop
         crashed = self._crashed
         events_fired = 0
         holds = 0
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        # No model code runs between fires, so the flag stays up there
+        # and drops only around multi-callback fires.
+        self._sole_callback = True
         try:
-            while until is not None and (urgent or heap):
-                # Urgent-lane events fire at the current instant, which
-                # is <= until by construction; only a heap pop can
-                # advance the clock past the bound.
+            while True:
                 if urgent:
                     event = urgent_popleft()
                     # Grant-and-hold events only ever travel the urgent
-                    # lane (use() appends there; the re-key below clears
+                    # lane (use() appends there; the re-key clears
                     # _hold before the heap push), so heap pops skip
                     # the hold check.
                     hold = event._hold
                     if hold is not None:
                         event._hold = None
                         self._sequence += 1
-                        heappush(heap, (self.now + hold, PRIORITY_NORMAL,
-                                        self._sequence, event))
                         holds += 1
-                        continue
-                else:
-                    if heap[0][0] > until:
-                        self.now = until
-                        return
-                    when, _priority, _seq, event = heappop(heap)
-                    self.now = when
-                event._fired = True
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-                events_fired += 1
-                if crashed:
-                    raise crashed[0].crash_error
-            while True:
-                if urgent:
-                    event = urgent_popleft()
-                    hold = event._hold
-                    if hold is not None:
-                        event._hold = None
-                        self._sequence += 1
-                        heappush(heap, (self.now + hold, PRIORITY_NORMAL,
-                                        self._sequence, event))
-                        holds += 1
-                        continue
+                        entry = (self.now + hold, PRIORITY_NORMAL,
+                                 self._sequence, event)
+                        if urgent:
+                            heappush(heap, entry)
+                            continue
+                        # Fused re-key: the next iteration would pop
+                        # the heap head, and with unique keys the head
+                        # after a push is what heappushpop returns.
+                        self.now, _priority, _seq, event = heappushpop(
+                            heap, entry)
                 elif heap:
-                    when, _priority, _seq, event = heappop(heap)
-                    self.now = when
+                    self.now, _priority, _seq, event = heappop(heap)
                 else:
                     break
+                resource = event._resource
+                if resource is not None:
+                    # A hold expires: Resource._release_hold, inlined
+                    # (it runs before the callbacks, as in Event._fire).
+                    waiting = resource._waiting
+                    if waiting:
+                        waiter, grant = waiting.popleft()
+                        resource.total_acquisitions += 1
+                        waiter._triggered = True
+                        waiter._value = grant
+                        urgent_append(waiter)
+                    else:
+                        resource._in_use -= 1
                 event._fired = True
                 callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    self._sole_callback = False
                     for callback in callbacks:
                         callback(event)
+                    self._sole_callback = True
                 events_fired += 1
                 if crashed:
                     raise crashed[0].crash_error
         finally:
+            self._sole_callback = False
             if gc_was_enabled:
                 gc.enable()
             self.events_fired += events_fired
             self.fastpath_holds += holds
 
     def _run_audited(self, until: float | None = None) -> None:
-        """step()-based run loop used when the tie auditor is on.
+        """step()-based run loop: bounded runs, the tie auditor and
+        conformance mode take it.
 
-        Mirrors :meth:`run`'s bounded-run semantics: only a heap pop
-        can advance the clock, so the bound is checked against the
-        heap head before each step.
+        Held urgent events are re-keyed before the bound is checked,
+        as step() would re-key them first: only then is the heap head
+        the next event that can move the clock, so a bound between now
+        and a hold's end stops the run before the hold fires.
 
         In ``REPRO_AUDIT=reverse`` mode each batch of heap entries
         sharing one ``(time, priority)`` key is fired in *reversed*
@@ -367,6 +396,11 @@ class Simulator:
         auditor = self.auditor
         reverse = auditor is not None and auditor.reverse_ties
         while True:
+            while urgent:
+                hold = urgent[0]._hold
+                if hold is None:
+                    break
+                self._rekey(urgent.popleft(), hold)
             if not urgent:
                 if not heap:
                     break
@@ -376,26 +410,13 @@ class Simulator:
             if urgent or not reverse:
                 self.step()
                 continue
-            # Reverse mode: collect the whole same-key batch first.
+            # Reverse mode: collect the whole same-key batch first
+            # (heap entries never carry a pending hold).
             when, priority, _seq, event = heapq.heappop(heap)
             self.now = when
-            batch: list[Event] = []
-            while True:
-                hold = event._hold
-                if hold is not None:
-                    event._hold = None
-                    self._sequence += 1
-                    heapq.heappush(
-                        heap, (when + hold, PRIORITY_NORMAL,
-                               self._sequence, event))
-                    self.fastpath_holds += 1
-                else:
-                    batch.append(event)
-                if (heap and heap[0][0] == when
-                        and heap[0][1] == priority):
-                    _when, _priority, _seq, event = heapq.heappop(heap)
-                else:
-                    break
+            batch = [event]
+            while heap and heap[0][0] == when and heap[0][1] == priority:
+                batch.append(heapq.heappop(heap)[3])
             last = len(batch) - 1
             for index, event in enumerate(reversed(batch)):
                 assert auditor is not None
@@ -422,12 +443,7 @@ class Simulator:
                     pending = urgent.popleft()
                     hold = pending._hold
                     if hold is not None:
-                        pending._hold = None
-                        self._sequence += 1
-                        heapq.heappush(
-                            heap, (self.now + hold, PRIORITY_NORMAL,
-                                   self._sequence, pending))
-                        self.fastpath_holds += 1
+                        self._rekey(pending, hold)
                         continue
                     pending._fire()
                     self.events_fired += 1

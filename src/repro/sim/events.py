@@ -19,6 +19,7 @@ import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
+    from repro.sim.resources import Resource
 
 # Events scheduled at the same time fire in priority order, then in the
 # order they were scheduled.  URGENT is used by the kernel for resource
@@ -39,7 +40,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
-                 "_fired", "_hold", "_serial")
+                 "_fired", "_hold", "_resource", "_serial")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -56,6 +57,9 @@ class Event:
         # heap pop re-keys this event ``_hold`` seconds later instead
         # of firing it — the grant-and-hold lane of Resource.use.
         self._hold: float | None = None
+        # The resource a grant-and-hold event holds: firing the event
+        # releases it before any callback runs.
+        self._resource: Resource | None = None
 
     # -- state inspection -------------------------------------------------
 
@@ -111,10 +115,18 @@ class Event:
     # -- kernel hooks --------------------------------------------------------
 
     def _fire(self) -> None:
-        """Run callbacks.  Called exactly once by the event loop."""
+        """Release a held resource, then run callbacks.  Called exactly
+        once by the step() loop (:meth:`Simulator.run` inlines it).
+
+        The callback list is not swapped out: nothing appends to a
+        fired event (process resumes and conditions check ``_fired``
+        first), so the list is complete once firing starts.
+        """
         self._fired = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
+        resource = self._resource
+        if resource is not None:
+            resource._release_hold()
+        for callback in self.callbacks:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -130,8 +142,8 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float,
                  value: typing.Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self.succeed(value, delay=delay)
@@ -162,6 +174,16 @@ class _Condition(Event):
     def _observe(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _settle(self, ok: bool, value: typing.Any) -> None:
+        """Trigger, dropping the constituents: a fired constituent
+        keeps its callback list, so constituent → ``_observe`` → self →
+        ``events`` would otherwise be a reference cycle."""
+        self.events = ()
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
+
 
 class AllOf(_Condition):
     """Fires when every constituent event has fired.
@@ -177,11 +199,11 @@ class AllOf(_Condition):
         if self.triggered:
             return
         if not event.ok:
-            self.fail(event.value)
+            self._settle(False, event.value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([e.value for e in self.events])
+            self._settle(True, [e.value for e in self.events])
 
 
 class AnyOf(_Condition):
@@ -196,6 +218,6 @@ class AnyOf(_Condition):
         if self.triggered:
             return
         if not event.ok:
-            self.fail(event.value)
+            self._settle(False, event.value)
             return
-        self.succeed((event, event.value))
+        self._settle(True, (event, event.value))

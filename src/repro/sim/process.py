@@ -41,7 +41,7 @@ class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
     __slots__ = ("generator", "name", "crash_error", "_send",
-                 "audit_label")
+                 "_resume_cb", "audit_label")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
                  name: str | None = None) -> None:
@@ -55,6 +55,10 @@ class Process(Event):
         #: generator.send cached once — _resume runs once per fired
         #: event, so the per-call bound-method lookup is hoisted here.
         self._send = generator.send
+        #: _resume bound once (it is appended to every event the
+        #: process waits on); deleted when the generator finishes, so
+        #: the self-reference does not outlive the process.
+        self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         #: Precomputed tie-audit label (see repro.analysis.audit
         #: .event_label) — resumes of this process are labelled once
@@ -63,7 +67,7 @@ class Process(Event):
         self.crash_error: ProcessCrash | None = None
         # Kick off the process at the current instant.
         start = Event(sim)
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._resume_cb)
         start.succeed()
 
     @property
@@ -87,9 +91,11 @@ class Process(Event):
                 else:
                     target = generator.throw(event._value)
             except StopIteration as stop:
+                del self._resume_cb
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - fail fast
+                del self._resume_cb
                 self.crash_error = ProcessCrash(self, exc)
                 self.crash_error.__cause__ = exc
                 self.sim._crashed.append(self)
@@ -101,11 +107,14 @@ class Process(Event):
                 if target._fired:
                     # The event already happened — continue
                     # synchronously with its value, not re-queueing.
+                    # Resource.use and Store.get return such events
+                    # when they complete synchronously.
                     event = target
                     continue
-                target.callbacks.append(self._resume)
+                target.callbacks.append(self._resume_cb)
                 return
             except AttributeError:
+                del self._resume_cb
                 error = TypeError(
                     f"process {self.name!r} yielded {target!r}; processes "
                     "may only yield Event instances")

@@ -16,6 +16,12 @@ or, equivalently, the one-shot helper ``yield from resource.use(dt)``.
 mailbox: ``put`` never blocks, ``get`` returns an event that fires when
 an item is available.  Items are delivered in arrival order, one per
 waiting getter, never duplicated and never lost (tested property-based).
+
+``use`` and ``get`` complete synchronously — returning an event that
+has already fired — when nothing else in the simulation could happen
+before the queue round trip they replace would end (see their
+docstrings and DESIGN.md §7).  Both must therefore be yielded at once:
+``yield from resource.use(dt)``, ``item = yield store.get()``.
 """
 
 from __future__ import annotations
@@ -67,9 +73,6 @@ class Resource:
         self.busy_time = 0.0
         self._last_change = 0.0
         self.total_acquisitions = 0
-        #: Pre-bound hold-release callback — ``use`` runs ~300k times
-        #: per sweep point, so the bound-method allocation is hoisted.
-        self._release_cb = self._release_after_hold
 
     # -- acquisition -----------------------------------------------------
 
@@ -115,25 +118,39 @@ class Resource:
         flavours share the same FIFO queue and are granted identically.
 
         Returns a plain 1-tuple rather than a generator (one less frame
-        per use on the kernel's hottest chain); the release runs as the
-        hold event's first callback — before the waiting process
-        resumes, exactly when the classic chain's ``release`` would
-        have run, so event ordering is unchanged.  The hold event
+        per use on the kernel's hottest chain).  The hold event names
+        this resource in its ``_resource`` slot, and firing it releases
+        the resource before any callback runs — before the waiting
+        process resumes, exactly when the classic chain's ``release``
+        would have run, so event ordering is unchanged.  The hold event
         always carries value ``None``, which is what makes
         ``yield from`` over a plain tuple legal (PEP 380 sends ``None``
         as ``next()``).
+
+        **Synchronous hold.**  When the run loop is firing an event
+        whose only callback is the caller, the urgent lane is empty,
+        the resource is free and the hold ends strictly before the heap
+        head, nothing else in the simulation can happen before the hold
+        ends.  The round trip through the queue is then done here, in
+        its order: grant, re-key bookkeeping, clock advance, release;
+        the returned event has already fired, so the caller continues
+        without a kernel pass.  On an equal end time the heap entry has
+        the lower sequence number and fires first, so equality takes
+        the queue.  This is exact only for the ``yield from`` idiom:
+        nothing may run between this call and the caller's yield.
         """
+        if not duration >= 0:  # also rejects NaN
+            raise ValueError(f"hold duration must be >= 0, got {duration!r}")
         sim = self.sim
-        # Inlined Event(sim) + _hold setup (one Python frame per use
+        # Inlined Event(sim) + hold setup (one Python frame per use
         # saved on the kernel's single hottest allocation site).
         event = Event.__new__(Event)
         event.sim = sim
         sim._event_serial = event._serial = sim._event_serial + 1
-        event.callbacks = [self._release_cb]
+        event.callbacks = []
         event._value = None
         event._ok = True
-        event._fired = False
-        event._hold = duration
+        event._resource = self
         # Busy time is credited as the hold duration up front: every
         # use() holds for exactly ``duration`` once granted, so the sum
         # of durations equals the in_use-integral the classic
@@ -141,21 +158,40 @@ class Resource:
         # utilisation() subtracts what has not elapsed yet.
         self.busy_time += duration
         if self._in_use < self.capacity:
-            self._in_use += 1
             self.total_acquisitions += 1
             event._triggered = True
+            if sim._sole_callback and not sim._urgent:
+                heap = sim._heap
+                end = sim.now + duration
+                if not heap or end < heap[0][0]:
+                    # Synchronous hold (see above).  The grant's
+                    # in_use += 1 and the release's -= 1 cancel; a free
+                    # resource has no waiters to hand over to.
+                    sim._sequence += 1
+                    sim.fastpath_holds += 1
+                    sim.events_fired += 1
+                    sim.sync_holds += 1
+                    sim.now = end
+                    event._hold = None
+                    event._fired = True
+                    return (event,)
+            self._in_use += 1
             # Inlined _schedule for the urgent lane (delay-0 URGENT
             # events go to the FIFO deque, never the heap).
             sim._urgent.append(event)
         else:
             event._triggered = False
             self._waiting.append((event, None))
+        event._hold = duration
+        event._fired = False
         return (event,)
 
-    def _release_after_hold(self, _event: Event) -> None:
-        """Inline release (no Grant token) when a hold event fires.
+    def _release_hold(self) -> None:
+        """Release (no Grant token) as a :meth:`use` hold event fires.
 
-        The urgent-lane append is an inlined URGENT delay-0 succeed.
+        Called by ``Event._fire``; :meth:`Simulator.run` inlines the
+        same steps.  The urgent-lane append is an inlined URGENT
+        delay-0 succeed.
         """
         if self._waiting:
             waiter, next_grant = self._waiting.popleft()
@@ -191,18 +227,16 @@ class Resource:
         if not self._in_use and not self._waiting:
             return 0, 0.0
         sim = self.sim
-        release = self._release_cb
         now = sim.now
         held = 0
         ahead = 0.0
         for event in sim._urgent:  # granted, not yet re-keyed
             hold = event._hold
-            if hold is not None and event.callbacks[0] is release:
+            if hold is not None and event._resource is self:
                 held += 1
                 ahead += hold
         for when, _priority, _seq, event in sim._heap:  # re-keyed
-            callbacks = event.callbacks
-            if callbacks and callbacks[0] is release:
+            if event._resource is self:
                 held += 1
                 ahead += when - now
         for event, grant in self._waiting:
@@ -278,7 +312,15 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        """An event that fires with the next item."""
+        """An event that fires with the next item.
+
+        **Synchronous get.**  With an item ready, the event would go to
+        the urgent lane; when that lane is empty and the run loop is
+        firing an event whose only callback is the caller, it would be
+        the very next event to fire, so it is returned already fired
+        (and counted as fired) instead.  Exact for the
+        ``item = yield store.get()`` idiom.
+        """
         sim = self.sim
         # Inlined Event(sim) + urgent-lane succeed (one mailbox get per
         # delivered message makes this a kernel-rate allocation site).
@@ -287,15 +329,22 @@ class Store:
         sim._event_serial = event._serial = sim._event_serial + 1
         event.callbacks = []
         event._ok = True
-        event._fired = False
         event._hold = None
+        event._resource = None
         if self._items:
             self.total_gets += 1
             event._triggered = True
             event._value = self._items.popleft()
-            sim._urgent.append(event)
+            if sim._sole_callback and not sim._urgent:
+                sim.events_fired += 1
+                sim.sync_gets += 1
+                event._fired = True
+            else:
+                event._fired = False
+                sim._urgent.append(event)
         else:
             event._triggered = False
+            event._fired = False
             event._value = None
             self._getters.append(event)
         return event

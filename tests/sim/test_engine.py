@@ -4,7 +4,7 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
@@ -35,6 +35,15 @@ def test_time_never_moves_backwards(sim):
 def test_cannot_schedule_into_past(sim):
     with pytest.raises(ValueError, match="past"):
         sim._schedule(sim.event(), delay=-0.1)
+
+
+def test_nan_delays_are_rejected(sim):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="past"):
+        sim._schedule(sim.event(), delay=nan)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.timeout(nan)
+    assert sim.queued_events == 0
 
 
 def test_run_drains_heap(sim):
@@ -147,12 +156,22 @@ def test_large_heap_order():
 INLINED = {"REPRO_VERIFY": "0", "REPRO_AUDIT": "0"}
 
 
-def run_traced(plan, env, bounds=(), classic=False):
-    """Run one randomized workload, returning its full event trace.
+#: kernel_counters() entries every run loop must reproduce exactly
+#: (the sync_* counters say which loop ran, so they differ by design).
+EXACT_COUNTERS = ("events_fired", "fastpath_holds", "heap_peak",
+                  "queued_events")
 
-    ``bounds`` drives the same plan through ``run(until=bound)`` once
-    per bound before the final drain; ``classic`` spells every
-    resource use out as the request→timeout→release chain.
+
+def run_traced(plan, env, bounds=(), classic=False):
+    """Run one randomized workload.
+
+    Returns ``(observed, engaged)``: ``observed`` is the full event
+    trace, the final clock, the exact kernel counters and every
+    resource's conformance snapshot; ``engaged`` counts the holds and
+    gets the synchronous fast paths completed.  ``bounds`` drives the
+    same plan through ``run(until=bound)`` once per bound before the
+    final drain; ``classic`` spells every resource use out as the
+    request→timeout→release chain.
     """
     # The kernel switches are read at construction (and monkeypatch
     # mixes badly with @given).
@@ -177,17 +196,34 @@ def run_traced(plan, env, bounds=(), classic=False):
             elif tag == "put":
                 stores[action[1]].put((pid, step))
                 yield sim.timeout(0.0)
-            else:  # "get"
+            elif tag == "post":  # put and go on: a woken getter waits
+                stores[action[1]].put((pid, step))
+            elif tag == "get":
                 item = yield stores[action[1]].get()
                 trace.append((repr(sim.now), pid, step, "got", item))
+            else:  # "fork": a child waited on by this process and an AllOf
+                child = sim.process(body(f"{pid}/{step}", [action[1:]]))
+                sim.process(watch(child, pid, step))
+                yield child
             trace.append((repr(sim.now), pid, step))
+
+    def watch(child, pid, step):
+        # Starts after the parent has yielded the child, so the child's
+        # completion has two callbacks, the parent's resume first: the
+        # parent must not fast-forward before the AllOf observes it.
+        yield sim.all_of([child])
+        trace.append((repr(sim.now), pid, step, "joined"))
 
     for pid, actions in enumerate(plan):
         sim.process(body(pid, actions), name=f"proc-{pid}")
     for bound in bounds:
         sim.run(until=bound)
     sim.run()
-    return trace, repr(sim.now), sim.events_fired
+    counters = sim.kernel_counters()
+    observed = (trace, repr(sim.now),
+                {key: counters[key] for key in EXACT_COUNTERS},
+                [resource.conformance_snapshot() for resource in resources])
+    return observed, (sim.sync_holds, sim.sync_gets)
 
 
 action_strategy = st.one_of(
@@ -202,20 +238,83 @@ plan_strategy = st.lists(
     st.lists(action_strategy, min_size=1, max_size=6),
     min_size=1, max_size=6)
 
+#: The family where the synchronous paths fire: one to three mostly
+#: serial processes, exact-binary durations (so a hold's end often
+#: equals the heap head's time, which must take the queue), posts that
+#: leave a woken getter in the urgent lane (which must fire first),
+#: and forks whose completion has two callbacks (which must not
+#: fast-forward).
+serial_action_strategy = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+    st.tuples(st.just("use"), st.sampled_from((0, 1)),
+              st.sampled_from((0.25, 0.5, 1.0))),
+    st.tuples(st.just("put"), st.sampled_from((0, 1))),
+    st.tuples(st.just("post"), st.sampled_from((0, 1))),
+    st.tuples(st.just("get"), st.sampled_from((0, 1))),
+    st.tuples(st.just("fork"), st.just("use"), st.sampled_from((0, 1)),
+              st.sampled_from((0.25, 0.5))),
+)
 
-@settings(max_examples=60, deadline=None)
-@given(plan=plan_strategy)
-def test_every_run_loop_yields_the_step_loop_trace(plan):
+serial_plan_strategy = st.lists(
+    st.lists(serial_action_strategy, min_size=1, max_size=8),
+    min_size=1, max_size=3)
+
+
+def test_every_run_loop_yields_the_step_loop_trace():
     """The step() loop (``REPRO_VERIFY=1``) is the oracle; the inlined
-    run(), the observe-only auditor and a bounded run in ten slices
-    must reproduce its trace, clock and event count bit-for-bit.  The
-    classic request→timeout→release chain fires two events per
-    resource use where grant-and-hold fires one, so it is held to the
-    trace and clock only."""
-    oracle = run_traced(plan, dict(INLINED, REPRO_VERIFY="1"))
-    assert run_traced(plan, INLINED) == oracle
-    assert run_traced(plan, dict(INLINED, REPRO_AUDIT="1")) == oracle
-    end = float(oracle[1])
-    slices = [end * k / 10 for k in range(1, 10)] + [end]
-    assert run_traced(plan, INLINED, bounds=slices) == oracle
-    assert run_traced(plan, INLINED, classic=True)[:2] == oracle[:2]
+    run() with its synchronous fast paths, the observe-only auditor and
+    a bounded run in ten slices must reproduce its trace, clock, exact
+    kernel counters and resource snapshots bit-for-bit.  The classic
+    request→timeout→release chain fires two events per resource use
+    where grant-and-hold fires one, so it is held to the trace and
+    clock only.  Across the examples the fast paths must engage."""
+    engaged = [0, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(plan=st.one_of(plan_strategy, serial_plan_strategy))
+    @example(plan=[[("use", 0, 0.25), ("put", 0), ("get", 0),
+                    ("use", 0, 0.25)]])
+    @example(plan=[[("use", 0, 0.25), ("use", 0, 0.25)],
+                   [("timeout", 0.5), ("fork", "use", 1, 0.5),
+                    ("use", 1, 0.25)]])
+    @example(plan=[[("get", 1), ("get", 1)],
+                   [("put", 0), ("post", 1), ("get", 0), ("post", 1),
+                    ("use", 0, 0.25)]])
+    def check(plan):
+        oracle, _ = run_traced(plan, dict(INLINED, REPRO_VERIFY="1"))
+        inlined, (holds, gets) = run_traced(plan, INLINED)
+        assert inlined == oracle
+        engaged[0] += holds
+        engaged[1] += gets
+        assert run_traced(plan, dict(INLINED, REPRO_AUDIT="1"))[0] == oracle
+        end = float(oracle[1])
+        slices = [end * k / 10 for k in range(1, 10)] + [end]
+        assert run_traced(plan, INLINED, bounds=slices)[0] == oracle
+        classic, _ = run_traced(plan, INLINED, classic=True)
+        assert classic[:2] == oracle[:2]
+
+    check()
+    sync_holds, sync_gets = engaged
+    assert sync_holds > 0 and sync_gets > 0
+
+
+@pytest.mark.parametrize("env", [
+    INLINED, dict(INLINED, REPRO_VERIFY="1"), dict(INLINED, REPRO_AUDIT="1")])
+def test_bounded_run_stops_before_a_hold_ends(env):
+    """A bound between now and a hold's end stops the run before the
+    hold fires, in every kernel mode; the clock never passes the bound
+    and never moves back."""
+    with mock.patch.dict(os.environ, env):
+        sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    seen = []
+
+    def worker():
+        yield from resource.use(0.25)
+        seen.append(sim.now)
+
+    sim.process(worker())
+    sim.run(until=0.05)
+    assert (seen, sim.now) == ([], 0.05)
+    sim.run()
+    assert (seen, sim.now) == ([0.25], 0.25)

@@ -100,6 +100,24 @@ class TestResourceMutualExclusion:
         assert sim.now == 6.0
         assert resource.in_use == 0
 
+    @pytest.mark.parametrize("duration", [-2.0, float("nan")])
+    def test_use_rejects_negative_and_nan_durations(self, sim, duration):
+        """A bad hold is refused at the call; the clock stays put."""
+        resource = Resource(sim, capacity=1)
+        log = []
+
+        def worker():
+            yield sim.timeout(5.0)
+            with pytest.raises(ValueError, match="duration"):
+                yield from resource.use(duration)
+            log.append(sim.now)
+
+        sim.process(worker())
+        sim.run()
+        assert log == [5.0]
+        assert sim.now == 5.0
+        assert (resource.in_use, resource.busy_time) == (0, 0.0)
+
 
 class TestResourceStatistics:
     def test_utilisation_full(self, sim):
