@@ -4,22 +4,18 @@ The whole reproduction rests on the simulator being bit-deterministic:
 the golden bit-parity tests and the merged ``--jobs`` sweeps are only
 meaningful if no code path depends on wall-clock time, unseeded
 randomness, hash/iteration order, or heap tie-breaks.  This package
-enforces that mechanically, in two halves:
+enforces that mechanically with a static **simulation-purity linter**
+(:mod:`repro.analysis.lint`, run as ``python -m repro.analysis.lint``)
+whose AST rules ban the hazard patterns outright (see
+:mod:`repro.analysis.rules` for the REPRO001… catalog), and a
+whole-program effect analyzer (:mod:`repro.analysis.effects`).  How
+much the simulated times rest on the heap's insertion-order tie-break
+is measured by a test, not at run time: ``tests/sim/test_tie_order.py``
+runs the paper figures with same-instant ties fired in reversed order.
 
-* a static **simulation-purity linter** (:mod:`repro.analysis.lint`,
-  run as ``python -m repro.analysis.lint``) whose AST rules ban the
-  hazard patterns outright (see :mod:`repro.analysis.rules` for the
-  REPRO001… catalog), and
-* a runtime **event-tie auditor** (:mod:`repro.analysis.audit`,
-  enabled with ``REPRO_AUDIT=1``) that watches the kernel's event heap
-  for same-``(time, priority)`` pops whose relative order is decided
-  only by insertion sequence — the discrete-event analog of a race
-  detector.
-
-DESIGN.md §8 catalogs the invariants each half protects.
+DESIGN.md §8 catalogs the invariants the suite protects.
 """
 
-from repro.analysis.audit import TieAuditor
 from repro.analysis.config import LintConfig, load_lint_config
 from repro.analysis.linter import (
     Finding,
@@ -36,7 +32,6 @@ __all__ = [
     "LintConfig",
     "RULES",
     "StaleSuppression",
-    "TieAuditor",
     "lint_file",
     "lint_paths",
     "load_lint_config",

@@ -1,12 +1,12 @@
 """Whole-program effect analysis and commutativity certificates.
 
-This package closes the gap between the *runtime* tie auditor
-(:mod:`repro.analysis.audit`) and what can be *proved* about
-same-timestamp event cohorts: it walks every module of the sim-scoped
-packages, infers per-callable effect summaries (reads/writes of shared
-simulation state, event scheduling, resource/store queue traffic, RNG
-draws, with a conservative "opaque" lattice top for dynamic dispatch),
-attributes the event-site labels the auditor records to the spawn and
+This package derives what can be *proved* about same-timestamp event
+cohorts: it walks every module of the sim-scoped packages, infers
+per-callable effect summaries (reads/writes of shared simulation
+state, event scheduling, resource/store queue traffic, RNG draws, with
+a conservative "opaque" lattice top for dynamic dispatch), attributes
+the event-site labels of tied events (recorded at run time by the
+tests' tie-order driver, ``tests/sim/tie_order.py``) to the spawn and
 resource-construction sites that produce them, and derives pairwise
 **commutativity certificates** between those site patterns.
 

@@ -6,7 +6,7 @@ call graph using the alias resolution of
 :class:`repro.analysis.rules.ModuleContext`, and infers one
 :class:`~repro.analysis.effects.model.EffectSummary` per callable by a
 fixpoint over the graph.  On top of the summaries it attributes the
-event-site labels the tie auditor records to their *spawn sites* —
+event-site labels of tied events to their *spawn sites* —
 including through spawn wrappers like
 ``Scheduler.execute_phase`` — and to the ``Resource``/``Store``
 construction sites whose names become ``resource:``/``store:`` labels.

@@ -7,13 +7,13 @@ patterns with their effect footprints, plus the pairwise verdicts of
 pair (self-pairs included — two events from the *same* site usually
 share state and do **not** commute).
 
-A cohort — a group of same-instant events, named by the tie
-auditor's normalised labels — is classified in two tiers:
+A cohort — a group of same-instant events, named by their normalised
+event labels — is classified in two tiers:
 
 * **batchable** — every label of the cohort is attributed to analyzed,
   kernel-safe model code: a pure attribution property (the tie
-  signatures the auditor observes on the paper workloads must all have
-  it).
+  signatures observed on a paper workload must all have it;
+  ``tests/analysis/test_certificates.py`` checks one).
 * **commutative** — additionally, every pair of matched patterns (self
   pairs of duplicated labels included) has a ``commutes`` verdict:
   provably disjoint footprints, so even *reordering* the cohort cannot
@@ -128,7 +128,7 @@ class CertificateTable:
     """Compiled form of the table.
 
     Label-to-pattern matching is memoised per normalised label (the
-    auditor's label universe is small and highly repetitive), so the
+    label universe is small and highly repetitive), so the
     per-cohort classification cost after warm-up is set lookups only.
     """
 
@@ -177,8 +177,8 @@ class CertificateTable:
         """``(batchable, commutative)`` for a cohort's labels.
 
         ``labels`` is the cohort's label multiset (duplicates
-        included); the auditor's signature split on its separator is
-        exactly that.
+        included).  A tie signature split on its separator gives the
+        distinct labels, which are all batchability depends on.
         """
         matches = []
         for label in labels:

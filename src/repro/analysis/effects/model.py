@@ -14,9 +14,9 @@ state, at class-attribute granularity:
   :class:`repro.sim.resources.Store` mailbox.
 
 Patterns may contain ``*`` (matches anything) and use ``#`` for digit
-runs, exactly like the tie auditor's normalised labels
-(:func:`repro.analysis.audit.normalise`) — the certificate machinery
-matches runtime labels against these patterns verbatim.
+runs, exactly like the normalised event labels of a tie signature
+(``normalise`` in ``tests/sim/tie_order.py``) — the certificate
+machinery matches runtime labels against these patterns verbatim.
 
 The lattice is a powerset lattice per field with two poisoned tops:
 ``opaque`` (dynamic dispatch reached — the state footprint is
@@ -36,8 +36,9 @@ Pairwise verdicts
 * ``serialized`` — the only overlap is Resource queue traffic.  The
   FIFO discipline serializes the pair (correctness is order-free) but
   queue *positions* swap with firing order, so simulated times may
-  move — ``REPRO_AUDIT=reverse`` demonstrates exactly this.  Ordered
-  by a held resource, not trace-commutative.
+  move — reversed tie order (``tests/sim/test_tie_order.py``) moves
+  figure cells by up to ~0.1 % this way.  Ordered by a held resource,
+  not trace-commutative.
 * ``conflicts`` — overlapping reads/writes of shared attributes,
   overlapping Store traffic (FIFO content order is observable), both
   sides drawing from the workload RNG stream, or either side opaque.

@@ -1,15 +1,15 @@
 """Label-pattern algebra for event sites.
 
-The tie auditor labels events ``process:<name>``, ``done:<name>``,
-``resource:<name>`` and normalises digit runs to ``#``
-(:mod:`repro.analysis.audit`).  This module derives the matching
-*pattern* for a site from the AST of the expression that builds the
-name — typically an f-string — so that statically discovered spawn
-and resource-construction sites can be matched against the labels the
-runtime records:
+Tied events are labelled ``process:<name>``, ``done:<name>``,
+``resource:<name>``, with digit runs normalised to ``#``
+(``event_label`` and ``normalise`` in ``tests/sim/tie_order.py``).
+This module derives the matching *pattern* for a site from the AST of
+the expression that builds the name — typically an f-string — so that
+statically discovered spawn and resource-construction sites can be
+matched against the labels a run produces:
 
 * constant parts keep their text, with digit runs collapsed to ``#``
-  (mirroring :func:`repro.analysis.audit.normalise`);
+  (mirroring the label normalisation);
 * interpolated fields become ``*`` — except a field that is a
   *parameter* of the enclosing spawn-wrapper function, which becomes a
   template hole filled in per call site
@@ -117,7 +117,7 @@ def pattern_of(node: ast.expr | None) -> str:
 class SitePattern:
     """One statically attributed event-site label pattern.
 
-    ``pattern`` is matched against the auditor's *normalised* labels
+    ``pattern`` is matched against *normalised* event labels
     (prefix included: ``process:*.build[*]``).  ``callables`` names the
     analyzed code whose effect summaries back the footprint;
     ``resolved`` is False when some spawned generator could not be

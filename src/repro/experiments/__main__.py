@@ -165,31 +165,6 @@ def _network_summary(outcome) -> str | None:
             f"end-of-stream={eos} ({share})")
 
 
-def _audit_summary(outcome) -> str | None:
-    """Aggregate per-point event-tie audit sites (``REPRO_AUDIT=1``)."""
-    benign: dict[str, int] = {}
-    suspect: dict[str, int] = {}
-    points = 0
-    for point in _iter_sweep_points(outcome):
-        if point.audit_sites is None:
-            continue
-        points += 1
-        for bucket, totals in (("benign", benign),
-                               ("suspect", suspect)):
-            for signature, groups in point.audit_sites[bucket].items():
-                totals[signature] = totals.get(signature, 0) + groups
-    if not points:
-        return None
-    lines = [f"## event-tie audit ({points} points): "
-             f"{sum(benign.values())} benign tie group(s) across "
-             f"{len(benign)} site(s), {sum(suspect.values())} suspect "
-             f"across {len(suspect)}"]
-    for signature, groups in sorted(suspect.items(),
-                                    key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"  SUSPECT x{groups:<6} {signature}")
-    return "\n".join(lines)
-
-
 def _verify_summary(outcome) -> str | None:
     """Aggregate per-point conformance reports (``REPRO_VERIFY=1``).
 
@@ -248,9 +223,6 @@ def run_experiment(name: str, config: ExperimentConfig,
         outcome = entry.run(config)
     elapsed = time.perf_counter() - started
     text = render(outcome)
-    audit = _audit_summary(outcome)
-    if audit:
-        text += "\n\n" + audit
     conformance = _verify_summary(outcome)
     if conformance:
         text += "\n\n" + conformance

@@ -38,11 +38,6 @@ class SweepPoint:
     #: fast-path holds, heap peak) — collected when the config's
     #: ``profile`` flag is on.
     kernel_counters: dict | None = None
-    #: Event-tie audit site counts ({"benign": {sig: groups},
-    #: "suspect": {...}}) — collected whenever ``REPRO_AUDIT`` is on
-    #: (see repro.analysis.audit); picklable so ``--jobs`` workers can
-    #: ship it home.
-    audit_sites: dict | None = None
     #: Conformance payload ({"invariants": monitor ledger,
     #: "analytic": per-phase analytic-vs-simulated report or None}) —
     #: collected whenever ``REPRO_VERIFY`` is on (see repro.verify);
@@ -161,9 +156,6 @@ def run_sweep_point(config: ExperimentConfig, db: WisconsinDatabase,
                                         "net_eos_messages":
                                             result.network.eos_messages}
                                        if config.profile else None),
-                      audit_sites=(machine.sim.auditor.site_counts()
-                                   if machine.sim.auditor is not None
-                                   else None),
                       verify=verify)
 
 

@@ -44,11 +44,13 @@ a single simulated timestamp or kernel count (see DESIGN.md §7):
   happen before the queue round trip they replace would end; the
   ``sync_holds``/``sync_gets`` counters show how often.
 
-Only the unbounded, unaudited :meth:`run` takes the inlined loop and
-the synchronous paths; ``run(until=…)``, ``REPRO_AUDIT`` and
-``REPRO_VERIFY`` take the :meth:`step` loop, which is the oracle the
-kernel tests hold the inlined one to.  The classic chain survives as
-the public :meth:`~repro.sim.resources.Resource.request` /
+Only the unbounded :meth:`run` takes the inlined loop and the
+synchronous paths; ``run(until=…)`` is a short loop over :meth:`step`,
+and a plain :meth:`step` loop is the oracle the kernel tests hold the
+inlined one to.  The tests also drive the queue with same-instant ties
+fired in reversed order (``tests/sim/tie_order.py``).  The classic
+chain survives as the public
+:meth:`~repro.sim.resources.Resource.request` /
 :meth:`~repro.sim.resources.Resource.release` idiom; the kernel tests
 hold ``use()`` to its clock and trace.
 """
@@ -58,7 +60,6 @@ from __future__ import annotations
 import collections
 import gc
 import heapq
-import os
 import typing
 
 from repro.sim.events import (
@@ -105,21 +106,6 @@ class Simulator:
         self._event_serial = 0
         self._active_processes = 0
         self._crashed: list[Process] = []
-        #: Event-tie auditor (``REPRO_AUDIT=1``, see DESIGN.md §8 and
-        #: repro.analysis.audit).  Observes same-(time, priority) heap
-        #: pops; never changes pop order.  Lazily imported so the
-        #: analysis package costs nothing when auditing is off.
-        audit = os.environ.get("REPRO_AUDIT", "")
-        if audit and audit != "0":
-            from repro.analysis.audit import TieAuditor
-            self.auditor: TieAuditor | None = TieAuditor.from_env()
-        else:
-            self.auditor = None
-        #: Conformance mode (``REPRO_VERIFY=1``): route run() through
-        #: the step()-based loop, whose per-pop clock guard catches any
-        #: event firing before the current simulated time.
-        from repro.verify import verify_enabled
-        self.verify: bool = verify_enabled()
         #: True while the inlined run() is not firing a multi-callback
         #: event: model code then runs only as the sole callback of the
         #: event being fired, and Resource.use / Store.get may complete
@@ -195,7 +181,7 @@ class Simulator:
 
     def kernel_counters(self) -> dict:
         """Diagnostics snapshot for the experiment harness."""
-        counters = {
+        return {
             "events_fired": self.events_fired,
             "fastpath_holds": self.fastpath_holds,
             "heap_peak": self.heap_peak,
@@ -203,15 +189,6 @@ class Simulator:
             "sync_holds": self.sync_holds,
             "sync_gets": self.sync_gets,
         }
-        if self.auditor is not None:
-            counters.update(self.auditor.counters())
-        return counters
-
-    def audit_report(self) -> str:
-        """The event-tie auditor's text summary (``REPRO_AUDIT=1``)."""
-        if self.auditor is None:
-            return "event-tie audit disabled (set REPRO_AUDIT=1)"
-        return self.auditor.summary()
 
     # -- running -------------------------------------------------------------
 
@@ -231,27 +208,13 @@ class Simulator:
                 if hold is not None:
                     self._rekey(event, hold)
                     continue
-                from_heap = False
-                priority = PRIORITY_URGENT
             elif heap:
-                when, priority, _seq, event = heapq.heappop(heap)
+                when, _priority, _seq, event = heapq.heappop(heap)
                 if when < self.now:  # pragma: no cover - _schedule guards
                     raise SimulationError("time moved backwards")
                 self.now = when
-                from_heap = True
             else:
                 raise SimulationError("nothing scheduled")
-            # Urgent-lane pops are excluded by design: that lane is
-            # semantically FIFO, so its insertion order *is* its
-            # specified order, not an arbitrary tie-break.  The tie
-            # flag is *coexistence*: the next queue entry shares this
-            # key right now, before this event fires — an entry this
-            # fire schedules at the same instant is causally ordered,
-            # not tied.
-            if from_heap and self.auditor is not None:
-                tied = (bool(heap) and heap[0][0] == self.now
-                        and heap[0][1] == priority)
-                self.auditor.record(self.now, priority, event, tied)
             event._fire()
             self.events_fired += 1
             if self._crashed:
@@ -270,7 +233,10 @@ class Simulator:
         self.fastpath_holds += 1
 
     def run(self, until: float | None = None) -> None:
-        """Run until the heap drains (or the clock passes ``until``).
+        """Run until the event queue drains.
+
+        With ``until``, fire only the events due by ``until`` and leave
+        the clock at ``until``, whether or not the queue drained first.
 
         Raises
         ------
@@ -280,17 +246,28 @@ class Simulator:
         ValueError
             If ``until`` lies before the current simulated time.
         """
-        if until is not None and until < self.now:
-            raise ValueError(
-                f"cannot run into the past: until={until!r} is before "
-                f"now={self.now!r}")
-        if until is not None or self.auditor is not None or self.verify:
-            # Bounded, audited and verified runs take the plain step()
-            # loop; simulated times are identical either way (the
-            # auditor only watches pops, it never reorders them, and
-            # step() checks the clock never moves backwards).
-            self._run_audited(until)
-            return
+        heap = self._heap
+        urgent = self._urgent
+        if until is not None:
+            if until < self.now:
+                raise ValueError(
+                    f"cannot run into the past: until={until!r} is "
+                    f"before now={self.now!r}")
+            # Held urgent events are re-keyed before the bound is
+            # checked, as step() would re-key them first: only then is
+            # the heap head the next event that can move the clock, so
+            # a bound between now and a hold's end stops the run
+            # before the hold fires.
+            while True:
+                while urgent:
+                    hold = urgent[0]._hold
+                    if hold is None:
+                        break
+                    self._rekey(urgent.popleft(), hold)
+                if not urgent and (not heap or heap[0][0] > until):
+                    self.now = until
+                    return
+                self.step()
         # Inlined pop/fire cycle — semantically identical to calling
         # step() in a loop, with the hot locals hoisted.
         #
@@ -299,8 +276,6 @@ class Simulator:
         # all of which die by reference counting — generational scans
         # find nothing to free (measured: zero cyclic garbage after a
         # full sweep) while costing ~10 % of the wall clock.
-        heap = self._heap
-        urgent = self._urgent
         urgent_popleft = urgent.popleft
         urgent_append = urgent.append
         heappop = heapq.heappop
@@ -373,84 +348,6 @@ class Simulator:
                 gc.enable()
             self.events_fired += events_fired
             self.fastpath_holds += holds
-
-    def _run_audited(self, until: float | None = None) -> None:
-        """step()-based run loop: bounded runs, the tie auditor and
-        conformance mode take it.
-
-        Held urgent events are re-keyed before the bound is checked,
-        as step() would re-key them first: only then is the heap head
-        the next event that can move the clock, so a bound between now
-        and a hold's end stops the run before the hold fires.
-
-        In ``REPRO_AUDIT=reverse`` mode each batch of heap entries
-        sharing one ``(time, priority)`` key is fired in *reversed*
-        sequence order, with the urgent lane drained between fires
-        exactly as the in-order kernel would.  Any simulated result
-        that depends on the insertion-order tie-break then moves — a
-        sensitivity probe for how much timing rests on the pinned
-        tie order (see repro.analysis.audit).
-        """
-        heap = self._heap
-        urgent = self._urgent
-        auditor = self.auditor
-        reverse = auditor is not None and auditor.reverse_ties
-        while True:
-            while urgent:
-                hold = urgent[0]._hold
-                if hold is None:
-                    break
-                self._rekey(urgent.popleft(), hold)
-            if not urgent:
-                if not heap:
-                    break
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return
-            if urgent or not reverse:
-                self.step()
-                continue
-            # Reverse mode: collect the whole same-key batch first
-            # (heap entries never carry a pending hold).
-            when, priority, _seq, event = heapq.heappop(heap)
-            self.now = when
-            batch = [event]
-            while heap and heap[0][0] == when and heap[0][1] == priority:
-                batch.append(heapq.heappop(heap)[3])
-            last = len(batch) - 1
-            for index, event in enumerate(reversed(batch)):
-                assert auditor is not None
-                # Batch members coexisted in the heap by construction,
-                # so they chain into one tie group; the batch boundary
-                # closes it (same-key events pushed by these fires are
-                # causal followers, not ties).
-                auditor.record(when, priority, event, index < last)
-                event._fire()
-                self.events_fired += 1
-                if self._crashed:
-                    raise self._crashed[0].crash_error
-                # Events pushed by this fire at the same key form
-                # their own later batch; the urgent lane, whose order
-                # is semantic FIFO, drains between tied fires as the
-                # in-order kernel would drain it.  Drained inline
-                # rather than via step(): once a held urgent event is
-                # re-keyed into the heap, step() falls through to pop
-                # the heap head — an arbitrary *future* event, because
-                # the rest of this batch lives in the local list, not
-                # the heap — advancing the clock mid-batch.  Only
-                # urgent-lane events may fire here.
-                while urgent:
-                    pending = urgent.popleft()
-                    hold = pending._hold
-                    if hold is not None:
-                        self._rekey(pending, hold)
-                        continue
-                    pending._fire()
-                    self.events_fired += 1
-                    if self._crashed:
-                        raise self._crashed[0].crash_error
-        if auditor is not None:
-            auditor.flush()  # close the trailing group at drain
 
     @property
     def queued_events(self) -> int:

@@ -41,7 +41,7 @@ class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
     __slots__ = ("generator", "name", "crash_error", "_send",
-                 "_resume_cb", "audit_label")
+                 "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
                  name: str | None = None) -> None:
@@ -60,10 +60,6 @@ class Process(Event):
         #: the self-reference does not outlive the process.
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        #: Precomputed tie-audit label (see repro.analysis.audit
-        #: .event_label) — resumes of this process are labelled once
-        #: per audited pop.
-        self.audit_label = f"{type(self).__name__.lower()}:{self.name}"
         self.crash_error: ProcessCrash | None = None
         # Kick off the process at the current instant.
         start = Event(sim)

@@ -60,10 +60,6 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        #: Precomputed tie-audit label (see repro.analysis.audit
-        #: .event_label) — hold expiries of this resource are labelled
-        #: once per audited pop.
-        self.audit_label = f"{type(self).__name__.lower()}:{name}"
         self._in_use = 0
         #: FIFO of (event, grant) waiters; fast-path holds queue with
         #: a None grant (release is inline, no token to return).

@@ -26,8 +26,9 @@ hot paths see only a ``monitor is None`` test, so the default
 configuration pays nothing.
 
 This module deliberately imports nothing from the rest of the package
-at import time — :mod:`repro.sim.engine` and
-:mod:`repro.engine.machine` import it to read the gate.
+at import time — :mod:`repro.engine.machine` imports it to read the
+gate.  The simulation kernel does not read it: conformance runs take
+the same event loop as every other run.
 """
 
 from __future__ import annotations

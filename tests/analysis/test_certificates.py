@@ -10,16 +10,17 @@ firing order.
 
 from __future__ import annotations
 
+import collections
 import pathlib
 
 import pytest
 
-from repro.analysis.audit import SEPARATOR
 from repro.analysis.effects import CertificateTable, build_table
 from repro.analysis.effects.analyzer import analyse_paths, analyse_tree
 from repro.analysis.effects.certificates import build_baseline
 
 from tests.analysis import workloads
+from tests.sim.tie_order import SEPARATOR, drive
 
 WORKLOADS = pathlib.Path(workloads.__file__)
 ROOT = pathlib.Path(__file__).parents[2]
@@ -88,21 +89,22 @@ class TestCommittedTable:
 
     def test_certifies_all_observed_benign_signatures(self, tree_table,
                                                       monkeypatch):
-        """Acceptance: every tie signature the auditor calls benign
-        on a real sweep point is statically batchable, and no suspect
-        signature is observed at all."""
-        monkeypatch.setenv("REPRO_AUDIT", "1")
+        """Acceptance: every tie signature observed on a real sweep
+        point is statically batchable — which also rules out labels
+        the table cannot attribute."""
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_sweep_point
+        from repro.sim import Simulator
         from repro.wisconsin.database import WisconsinDatabase
+        ties: collections.Counter = collections.Counter()
+        monkeypatch.setattr(Simulator, "run",
+                            lambda sim: drive(sim, ties=ties))
         config = ExperimentConfig(scale=0.01, seed=3, num_disk_nodes=4,
                                   num_remote_join_nodes=4)
         db = WisconsinDatabase.joinabprime(4, scale=0.01, seed=3)
-        point = run_sweep_point(config, db, "hybrid", 1.0)
-        benign = point.audit_sites["benign"]
-        assert benign, "auditor recorded no tie signatures"
-        assert point.audit_sites["suspect"] == {}
-        uncovered = [signature for signature in benign
+        run_sweep_point(config, db, "hybrid", 1.0)
+        assert ties, "no tie signatures observed"
+        uncovered = [signature for signature in ties
                      if not tree_table.batchable(
                          signature.split(SEPARATOR))]
         assert uncovered == []

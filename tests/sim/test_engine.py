@@ -12,6 +12,7 @@ from repro.sim.engine import SimulationError
 from repro.sim.events import PRIORITY_URGENT
 from repro.sim.resources import Resource, Store
 from tests.sim.classic import classic_use
+from tests.sim.tie_order import drive
 
 
 def test_clock_starts_at_zero(sim):
@@ -121,9 +122,24 @@ def test_run_until_between_events(sim):
     assert fired == [1, 3]
 
 
+def test_bounded_run_past_the_last_event_leaves_the_clock_at_the_bound(sim):
+    """The clock stops at the bound even when the queue drains first,
+    as it does when an event lies beyond the bound."""
+    resource = Resource(sim, capacity=1)
+
+    def worker():
+        yield from resource.use(1.0)
+
+    sim.process(worker())
+    sim.run(until=4.0)
+    assert sim.now == 4.0
+    assert resource.utilisation() == 0.25
+
+
 @pytest.mark.parametrize("verify", ["0", "1"])
 def test_run_until_rejects_a_bound_in_the_past(monkeypatch, verify):
-    """Both run loops: a bound behind the clock must not rewind it."""
+    """With the conformance switch off or on, a bound behind the clock
+    must not rewind it."""
     monkeypatch.setenv("REPRO_VERIFY", verify)
     sim = Simulator()
     sim.timeout(10.0)
@@ -152,18 +168,20 @@ def test_large_heap_order():
 # Kernel property: every way of driving the queue yields one trace
 # ---------------------------------------------------------------------------
 
-#: The inlined run() with every kernel switch at its default.
-INLINED = {"REPRO_VERIFY": "0", "REPRO_AUDIT": "0"}
-
-
 #: kernel_counters() entries every run loop must reproduce exactly
 #: (the sync_* counters say which loop ran, so they differ by design).
 EXACT_COUNTERS = ("events_fired", "fastpath_holds", "heap_peak",
                   "queued_events")
 
 
-def run_traced(plan, env, bounds=(), classic=False):
-    """Run one randomized workload.
+def step_loop(sim):
+    """The oracle: fire one event at a time until the queue drains."""
+    while sim.queued_events:
+        sim.step()
+
+
+def run_traced(plan, drain=Simulator.run, bounds=(), classic=False):
+    """Run one randomized workload, draining the queue with ``drain``.
 
     Returns ``(observed, engaged)``: ``observed`` is the full event
     trace, the final clock, the exact kernel counters and every
@@ -173,10 +191,7 @@ def run_traced(plan, env, bounds=(), classic=False):
     final drain; ``classic`` spells every resource use out as the
     request→timeout→release chain.
     """
-    # The kernel switches are read at construction (and monkeypatch
-    # mixes badly with @given).
-    with mock.patch.dict(os.environ, env):
-        sim = Simulator()
+    sim = Simulator()
     resources = [Resource(sim, capacity=1 + index % 2,
                           name=f"res-{index}") for index in range(2)]
     stores = [Store(sim, name=f"store-{index}") for index in range(2)]
@@ -218,7 +233,7 @@ def run_traced(plan, env, bounds=(), classic=False):
         sim.process(body(pid, actions), name=f"proc-{pid}")
     for bound in bounds:
         sim.run(until=bound)
-    sim.run()
+    drain(sim)
     counters = sim.kernel_counters()
     observed = (trace, repr(sim.now),
                 {key: counters[key] for key in EXACT_COUNTERS},
@@ -261,14 +276,16 @@ serial_plan_strategy = st.lists(
 
 
 def test_every_run_loop_yields_the_step_loop_trace():
-    """The step() loop (``REPRO_VERIFY=1``) is the oracle; the inlined
-    run() with its synchronous fast paths, the observe-only auditor and
-    a bounded run in ten slices must reproduce its trace, clock, exact
-    kernel counters and resource snapshots bit-for-bit.  The classic
-    request→timeout→release chain fires two events per resource use
-    where grant-and-hold fires one, so it is held to the trace and
-    clock only.  Across the examples the fast paths must engage."""
-    engaged = [0, 0]
+    """A plain step() loop is the oracle.  The inlined run() with its
+    synchronous fast paths, the same run under ``REPRO_VERIFY=1`` and a
+    bounded run in ten slices must reproduce its trace, clock, exact
+    kernel counters and resource snapshots bit-for-bit; the in-order
+    tie driver too, bar ``heap_peak`` (it pops a tied batch at once).
+    The classic request→timeout→release chain fires two events per
+    resource use where grant-and-hold fires one, so it is held to the
+    trace and clock only.  Across the examples the fast paths must
+    engage, with and without ``REPRO_VERIFY``."""
+    engaged = {"0": [0, 0], "1": [0, 0]}
 
     @settings(max_examples=100, deadline=None)
     @given(plan=st.one_of(plan_strategy, serial_plan_strategy))
@@ -281,29 +298,36 @@ def test_every_run_loop_yields_the_step_loop_trace():
                    [("put", 0), ("post", 1), ("get", 0), ("post", 1),
                     ("use", 0, 0.25)]])
     def check(plan):
-        oracle, _ = run_traced(plan, dict(INLINED, REPRO_VERIFY="1"))
-        inlined, (holds, gets) = run_traced(plan, INLINED)
-        assert inlined == oracle
-        engaged[0] += holds
-        engaged[1] += gets
-        assert run_traced(plan, dict(INLINED, REPRO_AUDIT="1"))[0] == oracle
+        oracle, _ = run_traced(plan, drain=step_loop)
+        for verify, counts in engaged.items():
+            # Set for the whole run (monkeypatch mixes badly with @given).
+            with mock.patch.dict(os.environ, {"REPRO_VERIFY": verify}):
+                inlined, (holds, gets) = run_traced(plan)
+            assert inlined == oracle
+            counts[0] += holds
+            counts[1] += gets
+        driven, _ = run_traced(plan, drain=drive)
+        exact = dict(oracle[2])
+        assert driven[2].pop("heap_peak") <= exact.pop("heap_peak")
+        assert driven == (oracle[0], oracle[1], exact, oracle[3])
         end = float(oracle[1])
         slices = [end * k / 10 for k in range(1, 10)] + [end]
-        assert run_traced(plan, INLINED, bounds=slices)[0] == oracle
-        classic, _ = run_traced(plan, INLINED, classic=True)
+        assert run_traced(plan, bounds=slices)[0] == oracle
+        classic, _ = run_traced(plan, classic=True)
         assert classic[:2] == oracle[:2]
 
     check()
-    sync_holds, sync_gets = engaged
-    assert sync_holds > 0 and sync_gets > 0
+    for sync_holds, sync_gets in engaged.values():
+        assert sync_holds > 0 and sync_gets > 0
 
 
 @pytest.mark.parametrize("env", [
-    INLINED, dict(INLINED, REPRO_VERIFY="1"), dict(INLINED, REPRO_AUDIT="1")])
+    {"REPRO_VERIFY": "0"}, {"REPRO_VERIFY": "1"}, {"REPRO_AUDIT": "1"}])
 def test_bounded_run_stops_before_a_hold_ends(env):
     """A bound between now and a hold's end stops the run before the
-    hold fires, in every kernel mode; the clock never passes the bound
-    and never moves back."""
+    hold fires, whatever the environment asks for (the kernel has one
+    run loop, and a stale ``REPRO_AUDIT`` switch changes nothing); the
+    clock never passes the bound and never moves back."""
     with mock.patch.dict(os.environ, env):
         sim = Simulator()
     resource = Resource(sim, capacity=1)

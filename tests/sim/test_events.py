@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim.resources import Resource
 
 
 class TestEventLifecycle:
@@ -164,3 +165,20 @@ def test_event_repr_shows_state(sim):
     assert "triggered" in repr(event)
     sim.run()
     assert "fired" in repr(event)
+
+
+def test_event_serials_are_per_engine_and_monotonic():
+    sim = Simulator()
+    first, second = sim.event(), sim.event()
+    assert (first._serial, second._serial) == (1, 2)
+    assert "#1" in repr(first) and "pending" in repr(first)
+    assert Simulator().event()._serial == 1   # fresh engine restarts
+
+
+def test_fastpath_use_events_carry_serials():
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1, name="cpu")
+    (event,) = cpu.use(1.0)
+    assert isinstance(event._serial, int) and event._serial >= 1
+    assert f"#{event._serial}" in repr(event)
+    sim.run()
