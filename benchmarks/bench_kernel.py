@@ -196,15 +196,15 @@ def time_columnar_fig5_point(scale: float) -> dict:
 
 
 def time_compiled(reps: int, scale: float) -> dict | None:
-    """Interleaved A/B of the compiled kernel backend
-    (``REPRO_COMPILED``, DESIGN.md §15).
+    """Interleaved A/B of the kernel backend's two engines
+    (DESIGN.md §15).
 
-    Three workloads under the compiled engine and the numpy fallback,
+    Three workloads under the ``cext`` engine and the numpy fallback,
     reps interleaved arm-by-arm so clock drift and cache warmth hit
     both arms alike:
 
     * raw dispatched kernels at 1M elements — the route-plan chain
-      (hash/remix/filter/marks/split) where the compiled engines'
+      (hash/remix/filter/marks/split) where the C engine's
       single-pass loops and counting sort separate hardest from the
       fallback's chained numpy temporaries, plus ``arena_ranges``
       recorded separately because it is an honest near-parity case
@@ -215,22 +215,23 @@ def time_compiled(reps: int, scale: float) -> dict | None:
 
     Every simulated output must be bit-identical across arms — only
     wall-clock may differ.  Engine activation (including the one-time
-    warmup/compile) happens before the timed region of each arm, the
-    same steady state a long sweep runs in.
+    C build) happens before the timed region of each arm, the same
+    steady state a long sweep runs in.
     """
     try:
         from repro.core import backend
+        from repro.core.backend import cext
     except ImportError:
         return None  # revision predates the compiled backend
     import numpy as np
 
-    probes = backend.available_engines()
-    out: dict = {"engines": probes}
-    if not any(status == "ok" for status in probes.values()):
-        out["note"] = "no compiled engine loadable; A/B arms skipped"
-        return out
+    try:
+        out: dict = {"engine": backend.activate("cext")}
+    except cext.EngineUnavailable as exc:
+        return {"note": f"no compiled engine loadable ({exc}); "
+                        f"A/B arms skipped"}
 
-    arms = {"compiled": "1", "fallback": "0"}
+    arms = {"compiled": "cext", "fallback": "fallback"}
     rng = np.random.default_rng(7)
     n = 1 << 20
     values = rng.integers(0, 2**64, n, dtype=np.uint64)
@@ -278,9 +279,8 @@ def time_compiled(reps: int, scale: float) -> dict | None:
                    for name in workloads}
     digests: dict = {name: {} for name in workloads}
     try:
-        out["engine"] = backend.activate("1")
         for workload in workloads.values():
-            workload()  # warm once: imports, allocator, jit cache
+            workload()  # warm once: imports, allocator
         for _ in range(reps):
             for arm, mode in arms.items():
                 backend.activate(mode)
@@ -295,7 +295,7 @@ def time_compiled(reps: int, scale: float) -> dict | None:
                             f"{name}/{arm} digest drifted across reps")
                     digests[name][arm] = digest
     finally:
-        backend.activate()  # restore the ambient REPRO_COMPILED choice
+        backend.activate()  # back to the host's choice
     for name in workloads:
         if digests[name]["compiled"] != digests[name]["fallback"]:
             raise AssertionError(

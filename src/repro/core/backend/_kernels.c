@@ -2,8 +2,8 @@
  *
  * Every function must be bit-identical to its numpy reference:
  * uint64 arithmetic wraps modulo 2**64 exactly as numpy's does, the
- * sorts are stable (counting sort / bottom-up merge sort), and the
- * double->int64 day cast truncates toward zero like Python's int().
+ * sorts are stable (counting sort / bottom-up merge sort), and bitset
+ * bytes are little-endian (bit i at byte i>>3, mask 1<<(i&7)).
  * Property-tested against the fallback in
  * tests/core/test_backend_parity.py.
  */

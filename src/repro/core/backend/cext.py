@@ -9,9 +9,9 @@ small-page granularity.
 
 :func:`load` returns the engine namespace or raises
 :class:`EngineUnavailable` with the concrete reason (no cffi, no C
-compiler, build failure) — the dispatcher in
-:mod:`repro.core.backend` turns that into fallback selection or a
-structured ``CompiledBackendError`` depending on ``REPRO_COMPILED``.
+compiler, unwritable cache, build failure) — the dispatcher in
+:mod:`repro.core.backend` turns that into fallback selection, or
+re-raises it when the caller pinned ``activate("cext")``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def load() -> types.SimpleNamespace:
     """Build/load the library and wrap it in the engine namespace."""
     try:
         import cffi
-    except ImportError as exc:  # pragma: no cover - cffi is baked in
+    except ImportError as exc:
         raise EngineUnavailable(f"cffi not importable: {exc}") from exc
     source = _source_path()
     try:
@@ -102,7 +102,13 @@ def load() -> types.SimpleNamespace:
             tag = hashlib.sha256(fh.read()).hexdigest()[:16]
     except OSError as exc:
         raise EngineUnavailable(f"kernel source unreadable: {exc}") from exc
-    lib_path = _build(source, _cache_dir(), tag)
+    cache = _cache_dir()
+    try:
+        lib_path = _build(source, cache, tag)
+    except OSError as exc:
+        # An installed package's directory is often read-only.
+        raise EngineUnavailable(
+            f"cannot build into cache {cache}: {exc}") from exc
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
     try:

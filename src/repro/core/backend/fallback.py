@@ -1,24 +1,25 @@
 """Reference (numpy / pure-python) kernel implementations.
 
-This module is the semantic contract of the compiled backend: every
-engine in :mod:`repro.core.backend` must reproduce these functions
-bit-for-bit on every input (property-tested in
-``tests/core/test_backend_parity.py``).  The implementations are the
-numpy paths that previously lived inline in :mod:`repro.core.kernels`,
-:mod:`repro.core.hash_table` — moving them here changed no
-arithmetic.
+This module is the semantic contract of the compiled backend: the
+``cext`` engine in :mod:`repro.core.backend` must reproduce these
+functions bit-for-bit on every input (property-tested in
+``tests/core/test_backend_parity.py``), and they are the engine
+itself on hosts where ``cext`` does not load.  The implementations
+are the numpy paths that previously lived inline in
+:mod:`repro.core.kernels`, :mod:`repro.core.hash_table` — moving them
+here changed no arithmetic.
 
 Exactness notes, per kernel:
 
 * ``hash_avalanche`` / ``hash_legacy`` / ``remix`` / ``filter_slots``
   — uint64 arithmetic wraps modulo 2**64; every intermediate of the
-  32-bit hash pipeline fits exactly, so C/njit ``uint64_t`` mirrors
-  are trivially identical.
+  32-bit hash pipeline fits exactly, so C ``uint64_t`` mirrors are
+  trivially identical.
 * ``split_groups`` / ``arena_ranges`` — a *stable* sort fully
   determines its permutation (equal keys keep input order), so any
   stable algorithm — numpy's radix/merge argsort here, a counting or
-  merge sort in the compiled engines — produces the identical
-  ``order`` array.
+  merge sort in the C engine — produces the identical ``order``
+  array.
 * ``marks_word_bytes`` / ``unpack_bits`` — byte-for-byte bit layout
   (little-endian within each byte), directly comparable.
 """
@@ -78,8 +79,8 @@ def split_groups(groups: Array, n_groups: int
     stable argsort of ``groups`` (equal groups keep input order) and
     ``starts[k]:ends[k]`` delimits the rows of group ``seg_groups[k]``
     within it, ascending by group id, empty groups omitted.
-    ``n_groups`` bounds the group ids (compiled engines counting-sort
-    on it); the result does not depend on it.
+    ``n_groups`` bounds the group ids (the C engine counting-sorts on
+    it); the result does not depend on it.
     """
     order = np.argsort(groups, kind="stable")
     sorted_groups = groups[order]

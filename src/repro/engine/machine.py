@@ -189,8 +189,7 @@ class GammaMachine:
 
         Includes the compiled-backend dispatch counters
         (:func:`repro.core.backend.counters`): call counts as deltas
-        since this machine was built, plus the active engine name and
-        the process's one-time warmup seconds as-is.
+        since this machine was built, plus the active engine name.
         """
         from repro.core import backend
         counters: dict[str, typing.Any] = self.dataplane.as_dict()
@@ -198,7 +197,7 @@ class GammaMachine:
         counters["dp_hash_cache_misses"] = self.key_hash_memo.misses
         base = self._backend_base
         for key, value in backend.counters().items():
-            if key in ("be_engine", "be_warmup_seconds"):
+            if key == "be_engine":
                 counters[key] = value
             else:
                 counters[key] = value - base.get(key, 0)

@@ -94,9 +94,8 @@ def _kernel_summary(outcome) -> str | None:
                 # Mode labels (e.g. be_engine) aggregate as
                 # the set of distinct values, not a sum.
                 labels.setdefault(key, set()).add(value)
-            elif key in ("heap_peak", "be_warmup_seconds"):
-                # Peaks / one-time per-process costs: points sharing a
-                # process would double-count under a sum.
+            elif key == "heap_peak":
+                # A peak, not a total: report the largest.
                 totals[key] = max(totals.get(key, 0), value)
             else:
                 totals[key] = totals.get(key, 0) + value

@@ -37,9 +37,8 @@ MODES: tuple[tuple[int], ...] = ((1,), (0,))
 
 @contextlib.contextmanager
 def mode_env(verify: bool = True,
-             columnar: int | None = None,
-             compiled: str | None = None) -> typing.Iterator[None]:
-    """Pin the verify/storage/backend environment for one run.
+             columnar: int | None = None) -> typing.Iterator[None]:
+    """Pin the verify/storage environment for one run.
 
     The flags are read at machine- and driver-construction time, so a
     fresh machine built inside this context runs fully in the
@@ -47,21 +46,13 @@ def mode_env(verify: bool = True,
     relation *representation* is decided
     when a database is generated, so harnesses convert the database
     per combo (:meth:`WisconsinDatabase.with_representation`) rather
-    than relying on the flag alone.  ``compiled`` pins
-    ``REPRO_COMPILED`` — and, because backend activation is lazy and
-    process-global, also re-activates the kernel backend on entry and
-    restores the ambient selection on exit.
+    than relying on the flag alone.
     """
     desired = {"REPRO_VERIFY": "1" if verify else "0"}
     if columnar is not None:
         desired["REPRO_COLUMNAR"] = str(columnar)
-    if compiled is not None:
-        desired["REPRO_COMPILED"] = compiled
     saved = {key: os.environ.get(key) for key in desired}
     os.environ.update(desired)
-    if compiled is not None:
-        from repro.core import backend
-        backend.activate(compiled)
     try:
         yield
     finally:
@@ -70,8 +61,6 @@ def mode_env(verify: bool = True,
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-        if compiled is not None:
-            backend.activate()
 
 
 def _phase_signature(result: typing.Any) -> list[tuple[str, str, str]]:
@@ -94,28 +83,17 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
     """
     from repro.experiments.runner import run_sweep_point
 
-    from repro.core import backend
-
-    # REPRO_COMPILED axis, availability-gated: when a compiled engine
-    # loads on this host, both combos rerun with the backend pinned
-    # both ways.
-    compiled_modes: list[str] = []
-    if any(status == "ok"
-           for status in backend.available_engines().values()):
-        compiled_modes = ["0", "1"]
     runs = []
-    for compiled in (None, *compiled_modes):
-        for mode in MODES:
-            (columnar,) = mode
-            mode_db = (db if db is None
-                       else db.with_representation(bool(columnar)))
-            with mode_env(verify=True, columnar=columnar,
-                          compiled=compiled):
-                point = run_sweep_point(config, mode_db, algorithm,
-                                        memory_ratio,
-                                        configuration=configuration,
-                                        **spec_kwargs)
-            runs.append((mode, point))
+    for mode in MODES:
+        (columnar,) = mode
+        mode_db = (db if db is None
+                   else db.with_representation(bool(columnar)))
+        with mode_env(verify=True, columnar=columnar):
+            point = run_sweep_point(config, mode_db, algorithm,
+                                    memory_ratio,
+                                    configuration=configuration,
+                                    **spec_kwargs)
+        runs.append((mode, point))
 
     (_, reference), *rest = runs
     ref_sig = _phase_signature(reference.result)
@@ -147,10 +125,7 @@ def run_mode_matrix(config: typing.Any, db: typing.Any, algorithm: str,
         "memory_ratio": memory_ratio,
         "configuration": configuration,
         "response_time": reference.result.response_time,
-        # The base combos only; the compiled-axis reruns repeat them
-        # pinned 0/1 and are reported via "compiled_modes".
-        "modes": [list(mode) for mode, _ in runs[:len(MODES)]],
-        "compiled_modes": compiled_modes,
+        "modes": [list(mode) for mode, _ in runs],
         "result": reference.result,
     }
 

@@ -1,17 +1,21 @@
-"""Compiled-backend conformance: every engine ≡ the numpy fallback.
+"""Compiled-backend conformance: the ``cext`` engine ≡ the numpy fallback.
 
 The fallback module is the semantic contract (DESIGN.md §15); these
-property tests hold each loadable compiled engine to it bit-for-bit —
-including the awkward inputs: empty pages, all-duplicate keys, and
-uint64 wraparound edges.  The dispatcher's selection logic, structured
-error, and counters are covered alongside.
+property tests hold the C engine to it bit-for-bit — including the
+awkward inputs: empty pages, all-duplicate keys, and uint64
+wraparound edges.  The dispatcher's host selection, pinning, and
+counters are covered alongside, and so is the degrade path: the real
+failure branches of :func:`repro.core.backend.cext.load` (no C
+compiler, no cffi, an unwritable cache) must leave the host on the
+fallback without an error.
 
-On hosts where no compiled engine loads (no numba, no C compiler or
-cffi), the per-engine parity classes skip and the dispatcher tests
-still prove graceful degradation.
+On hosts where ``cext`` does not load, the parity class skips and the
+dispatcher and degrade tests still run.
 """
 
 import os
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -19,25 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import backend
-from repro.core.backend import fallback
+from repro.core.backend import cext, fallback
 
 U64 = 2**64
 
 
-def _try_engine(name):
-    try:
-        if name == "numba":
-            from repro.core.backend import numba_engine
-            return numba_engine.load()
-        from repro.core.backend import cext
-        return cext.load()
-    except Exception:
-        return None
-
-
-ENGINES = [engine for engine in (_try_engine("numba"),
-                                 _try_engine("cext"))
-           if engine is not None]
+try:
+    ENGINES = [cext.load()]
+except cext.EngineUnavailable:
+    ENGINES = []
 
 
 def assert_same(a, b, context):
@@ -64,11 +58,11 @@ u64_arrays = st.lists(u64_values, min_size=0, max_size=200).map(
     lambda vals: np.asarray(vals, dtype=np.uint64))
 
 
-@pytest.mark.skipif(not ENGINES, reason="no compiled engine loadable")
+@pytest.mark.skipif(not ENGINES, reason="cext not loadable")
 @pytest.mark.parametrize("engine", ENGINES,
                          ids=lambda engine: engine.name)
 class TestKernelParity:
-    """Each compiled engine reproduces the fallback bit-for-bit."""
+    """The C engine reproduces the fallback bit-for-bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(values=u64_arrays,
@@ -156,8 +150,28 @@ class TestKernelParity:
                     (raw, num_bits))
 
 
+def _no_compiler(monkeypatch, tmp_path):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+    return "no C compiler"
+
+
+def _no_cffi(monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "cffi", None)
+    return "cffi not importable"
+
+
+def _cache_unwritable(monkeypatch, tmp_path):
+    if not ENGINES:
+        pytest.skip("a build is reached only where cext can load")
+    blocker = tmp_path / "cache-is-a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("REPRO_CEXT_CACHE", str(blocker))
+    return "cannot build into cache"
+
+
 class TestDispatcher:
-    """Selection, counters, and the structured error."""
+    """Host selection, pinning, and counters."""
 
     @pytest.fixture(autouse=True)
     def _restore_activation(self):
@@ -165,42 +179,43 @@ class TestDispatcher:
         backend.activate()
         backend.reset_counters()
 
-    def test_mode_0_forces_fallback(self):
-        assert backend.activate("0") == "fallback"
+    def test_auto_never_raises(self):
+        # Chosen by host: the C engine wherever it loads.
+        expected = "cext" if ENGINES else "fallback"
+        assert backend.activate() == expected
+        assert backend.engine_name() == expected
+
+    def test_fallback_pinned(self):
+        assert backend.activate("fallback") == "fallback"
         assert backend.engine_name() == "fallback"
 
-    def test_auto_never_raises(self):
-        assert backend.activate("auto") in ("numba", "cext", "fallback")
+    @pytest.mark.skipif(not ENGINES, reason="cext not loadable")
+    def test_cext_pinned(self):
+        assert backend.activate("cext") == "cext"
+        assert backend.engine_name() == "cext"
 
-    def test_unknown_mode_raises_structured(self):
-        with pytest.raises(backend.CompiledBackendError) as excinfo:
-            backend.activate("not-a-mode")
-        assert excinfo.value.requested == "not-a-mode"
-        assert excinfo.value.reasons
+    def test_unknown_engine_raises_value_error(self):
+        for name in ("auto", "0", "1", "numba", ""):
+            with pytest.raises(ValueError, match="unknown kernel engine"):
+                backend.activate(name)
 
-    def test_required_engine_unavailable_raises_structured(self):
-        probes = backend.available_engines()
-        missing = [name for name, status in probes.items()
-                   if status != "ok"]
-        if not missing:
-            pytest.skip("both compiled engines available")
-        with pytest.raises(backend.CompiledBackendError) as excinfo:
-            backend.activate(missing[0])
-        err = excinfo.value
-        assert err.requested == missing[0]
-        assert missing[0] in err.reasons
-        assert "REPRO_COMPILED" in str(err)
+    def test_required_engine_unavailable_raises_structured(
+            self, monkeypatch, tmp_path):
+        # A failed pin leaves the engine bound before it in place.
+        bound = backend.activate()
+        reason = _no_compiler(monkeypatch, tmp_path)
+        with pytest.raises(cext.EngineUnavailable, match=reason):
+            backend.activate("cext")
+        assert backend.engine_name() == bound
+        codes = np.arange(5, dtype=np.uint64)
+        assert_same(fallback.remix(codes), backend.remix(codes), "remix")
 
-    def test_mode_1_matches_availability(self):
-        probes = backend.available_engines()
-        if any(status == "ok" for status in probes.values()):
-            assert backend.activate("1") in ("numba", "cext")
-        else:
-            with pytest.raises(backend.CompiledBackendError):
-                backend.activate("1")
+    def test_stale_env_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        assert backend.activate() == ("cext" if ENGINES else "fallback")
 
     def test_counters_track_dispatch(self):
-        backend.activate("0")
+        backend.activate("fallback")
         backend.reset_counters()
         backend.remix(np.arange(5, dtype=np.uint64))
         counts = backend.counters()
@@ -208,29 +223,22 @@ class TestDispatcher:
         assert counts["be_fallback_calls"] == 1
         assert counts["be_compiled_calls"] == 0
         assert counts["be_hit_remix"] == 1
-        assert counts["be_warmup_seconds"] == 0
 
-    @pytest.mark.skipif(not ENGINES,
-                        reason="no compiled engine loadable")
-    def test_compiled_counters_and_warmup(self):
-        backend.activate("1")
+    @pytest.mark.skipif(not ENGINES, reason="cext not loadable")
+    def test_compiled_counters(self):
+        backend.activate("cext")
         backend.reset_counters()
         backend.filter_slots(np.arange(8, dtype=np.uint64), 64)
         counts = backend.counters()
-        assert counts["be_engine"] in ("numba", "cext")
+        assert counts["be_engine"] == "cext"
         assert counts["be_compiled_calls"] == 1
         assert counts["be_fallback_calls"] == 0
         assert counts["be_hit_filter_slots"] == 1
-        assert counts["be_warmup_seconds"] > 0
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert backend.activate() == "fallback"
 
     def test_dispatch_functions_match_fallback(self):
-        # Whatever engine auto picks, the module-level functions must
-        # agree with the reference on a mixed workload.
-        backend.activate("auto")
+        # Whatever engine the host picks, the module-level functions
+        # must agree with the reference on a mixed workload.
+        backend.activate()
         rng = np.random.default_rng(11)
         codes = rng.integers(0, U64, 64, dtype=np.uint64)
         groups = rng.integers(0, 8, 64).astype(np.int64)
@@ -239,32 +247,37 @@ class TestDispatcher:
                     backend.split_groups(groups, 8), "split")
 
 
-@pytest.mark.skipif(not ENGINES, reason="no compiled engine loadable")
-def test_matrix_pinned_both_ways_on_randomized_workload():
-    """A randomized (seeded) figure-5 workload on column pages with
-    REPRO_COMPILED pinned 0 and 1 — simulated results identical.
-    """
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_sweep_point, sweep_database
-    from repro.verify.matrix import mode_env
+class TestDegrade:
+    """Each way ``cext.load`` can fail leaves the host on the fallback."""
 
-    config = ExperimentConfig(scale=0.02, seed=20260808)
-    db = sweep_database(config, hpja=True)
-    times = {}
-    for compiled in ("0", "1"):
-        with mode_env(columnar=1, compiled=compiled):
-            point = run_sweep_point(config, db.with_representation(True),
-                                    "hybrid", 1.0)
-        times[compiled] = (repr(point.result.response_time),
-                          [(s.name, repr(s.start), repr(s.end))
-                           for s in point.result.phases])
-    assert times["0"] == times["1"]
+    @pytest.fixture(params=[_no_compiler, _no_cffi, _cache_unwritable],
+                    ids=["no-compiler", "no-cffi", "cache-unwritable"])
+    def reason(self, request, monkeypatch, tmp_path):
+        yield request.param(monkeypatch, tmp_path)
+        monkeypatch.undo()
+        backend.activate()
+        backend.reset_counters()
+
+    def test_host_choice_is_the_fallback(self, reason):
+        assert backend.activate() == "fallback"
+
+    def test_dispatch_runs_the_fallback(self, reason):
+        backend.activate()
+        backend.reset_counters()
+        codes = np.arange(5, dtype=np.uint64)
+        assert_same(fallback.remix(codes), backend.remix(codes), "remix")
+        counts = backend.counters()
+        assert counts["be_fallback_calls"] == 1
+        assert counts["be_compiled_calls"] == 0
+
+    def test_pinned_cext_names_the_reason(self, reason):
+        with pytest.raises(cext.EngineUnavailable, match=reason):
+            backend.activate("cext")
 
 
 def test_cext_cache_env_override(tmp_path, monkeypatch):
     """REPRO_CEXT_CACHE redirects the .so cache (and a build there
     proves the from-scratch compile path when a compiler exists)."""
-    from repro.core.backend import cext
     monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
     assert cext._cache_dir() == str(tmp_path)
     try:

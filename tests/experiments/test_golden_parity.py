@@ -16,7 +16,9 @@ The vectorized page-batch data plane (see ``repro.core.kernels``)
 makes the same promise against the same anchors.  The columnar
 relation storage (``REPRO_COLUMNAR`` — see ``repro.catalog.pages``)
 is a pure representation choice, so every figure runs under both
-representations.
+representations.  The kernel backend's two engines (DESIGN.md §15)
+are bit-identical too: the cells run the engine the host picks, and
+figure 5 runs once more pinned to the numpy fallback.
 
 Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
@@ -35,6 +37,7 @@ import re
 
 import pytest
 
+from repro.core import backend
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 
@@ -75,19 +78,44 @@ def golden() -> dict:
         return json.load(fh)["figures"]
 
 
-@pytest.mark.parametrize("name,columnar", SCENARIOS,
-                         ids=scenario_ids(SCENARIOS))
-def test_bit_identical_to_golden(name, columnar, golden, monkeypatch):
-    figure = sweep(name, columnar, monkeypatch)
-    expected = golden[name]
+def assert_golden(figure: figures.Figure, expected: dict, how: str) -> None:
     assert {s.label for s in figure.series} == set(expected)
     for series in figure.series:
         want = expected[series.label]
         assert len(series.points) == len(want)
         for point in series.points:
             assert repr(point.response_time) == want[repr(point.x)], (
-                f"{name}/{series.label} diverged at x={point.x} "
-                f"(REPRO_COLUMNAR={columnar})")
+                f"{series.label} diverged at x={point.x} ({how})")
+
+
+@pytest.mark.parametrize("name,columnar", SCENARIOS,
+                         ids=scenario_ids(SCENARIOS))
+def test_bit_identical_to_golden(name, columnar, golden, monkeypatch):
+    figure = sweep(name, columnar, monkeypatch)
+    assert_golden(figure, golden[name],
+                  f"{name}, REPRO_COLUMNAR={columnar}")
+
+
+@pytest.fixture
+def fallback_engine():
+    """Pin the numpy kernel engine, then let the host choose again."""
+    backend.activate("fallback")
+    backend.reset_counters()
+    yield
+    backend.activate()
+
+
+def test_fallback_engine_bit_identical_to_golden(golden, monkeypatch,
+                                                 fallback_engine):
+    """The other cells run the engine the host picks (``cext`` where it
+    loads); this one holds the numpy fallback to the same anchor."""
+    monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
+    monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
+    figure = figures.figure5(CONFIG)
+    counts = backend.counters()
+    assert counts["be_fallback_calls"] > 0
+    assert counts["be_compiled_calls"] == 0
+    assert_golden(figure, golden["figure5"], "figure5, fallback engine")
 
 
 def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
