@@ -50,9 +50,6 @@ import dataclasses
 import re
 import typing
 
-_ESCAPED_STAR = re.compile(r"\\\*|\Z")
-
-
 def compile_pattern(pattern: str) -> "re.Pattern[str]":
     """Compile a ``*``-wildcard pattern to a full-match regex.
 
@@ -159,10 +156,6 @@ class EffectSummary:
                    rng=bool(data.get("rng", False)),
                    opaque=bool(data.get("opaque", True)),
                    unsafe=tuple(data.get("unsafe", ())))
-
-    @classmethod
-    def opaque_summary(cls, *reasons: str) -> "EffectSummary":
-        return cls(opaque=True, unsafe=tuple(reasons))
 
 
 #: Verdict constants (also the strings stored in the JSON table).

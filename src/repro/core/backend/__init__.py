@@ -131,7 +131,6 @@ def _dispatch(name: str) -> typing.Callable[..., typing.Any]:
 
 hash_avalanche = _dispatch("hash_avalanche")
 hash_legacy = _dispatch("hash_legacy")
-remix = _dispatch("remix")
 filter_slots = _dispatch("filter_slots")
 split_groups = _dispatch("split_groups")
 arena_ranges = _dispatch("arena_ranges")

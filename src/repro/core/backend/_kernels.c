@@ -28,16 +28,6 @@ void repro_hash_legacy(const uint64_t *values, int64_t n, uint64_t mult,
         out[i] = (values[i] * mult + offset) & MASK32;
 }
 
-void repro_remix(const uint64_t *codes, int64_t n, uint64_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t z = (codes[i] + 0x9E3779B9ULL) & MASK32;
-        z = ((z ^ (z >> 16)) * 0x85EBCA6BULL) & MASK32;
-        z = ((z ^ (z >> 13)) * 0xC2B2AE35ULL) & MASK32;
-        out[i] = z ^ (z >> 16);
-    }
-}
-
 void repro_filter_slots(const uint64_t *codes, int64_t n,
                         uint64_t num_bits, int64_t *out)
 {

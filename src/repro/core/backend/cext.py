@@ -33,7 +33,6 @@ void repro_hash_avalanche(const uint64_t *values, int64_t n,
                           uint64_t mult, uint64_t *out);
 void repro_hash_legacy(const uint64_t *values, int64_t n, uint64_t mult,
                        uint64_t offset, uint64_t *out);
-void repro_remix(const uint64_t *codes, int64_t n, uint64_t *out);
 void repro_filter_slots(const uint64_t *codes, int64_t n,
                         uint64_t num_bits, int64_t *out);
 int64_t repro_split_groups(const int64_t *groups, int64_t n,
@@ -139,13 +138,6 @@ def load() -> types.SimpleNamespace:
                               cast("uint64_t *", from_buffer(out)))
         return out
 
-    def remix(hash_codes: Array) -> Array:
-        n = len(hash_codes)
-        out = np.empty(n, dtype=np.uint64)
-        lib.repro_remix(_u64(hash_codes), n,
-                        cast("uint64_t *", from_buffer(out)))
-        return out
-
     def filter_slots(hash_codes: Array, num_bits: int) -> Array:
         n = len(hash_codes)
         out = np.empty(n, dtype=np.int64)
@@ -199,7 +191,6 @@ def load() -> types.SimpleNamespace:
         name="cext",
         hash_avalanche=hash_avalanche,
         hash_legacy=hash_legacy,
-        remix=remix,
         filter_slots=filter_slots,
         split_groups=split_groups,
         arena_ranges=arena_ranges,

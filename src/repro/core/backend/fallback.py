@@ -11,7 +11,7 @@ here changed no arithmetic.
 
 Exactness notes, per kernel:
 
-* ``hash_avalanche`` / ``hash_legacy`` / ``remix`` / ``filter_slots``
+* ``hash_avalanche`` / ``hash_legacy`` / ``filter_slots``
   — uint64 arithmetic wraps modulo 2**64; every intermediate of the
   32-bit hash pipeline fits exactly, so C ``uint64_t`` mirrors are
   trivially identical.
@@ -38,7 +38,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 KERNELS = (
     "hash_avalanche",
     "hash_legacy",
-    "remix",
     "filter_slots",
     "split_groups",
     "arena_ranges",
@@ -57,7 +56,7 @@ def hash_legacy(values: Array, mult: int, offset: int) -> Array:
     return (values * np.uint64(mult) + np.uint64(offset)) & _MASK32
 
 
-def remix(hash_codes: Array) -> Array:
+def _remix(hash_codes: Array) -> Array:
     """The 32-bit finalizer of :func:`repro.hashing.remix`, batched."""
     m = _MASK32
     z = (hash_codes + np.uint64(0x9E3779B9)) & m
@@ -68,7 +67,7 @@ def remix(hash_codes: Array) -> Array:
 
 def filter_slots(hash_codes: Array, num_bits: int) -> Array:
     """Filter bit index (``remix(h) % num_bits``) per hash code."""
-    return (remix(hash_codes) % np.uint64(num_bits)).astype(np.int64)
+    return (_remix(hash_codes) % np.uint64(num_bits)).astype(np.int64)
 
 
 def split_groups(groups: Array, n_groups: int

@@ -461,16 +461,6 @@ class JoinHashTable:
             for row in chain:
                 yield row, hash_code
 
-    @property
-    def average_chain(self) -> float:
-        """Average chain length over occupied slots (§4.4 reports 3.3
-        under the normal skew)."""
-        if self._arena:
-            return self.count / len(self._arena_groups())
-        if not self._slots:
-            return 0.0
-        return self.count / len(self._slots)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<JoinHashTable {self.count}/{self.capacity} "
                 f"cutoff={self.cutoff} overflows={self.overflow_events}>")

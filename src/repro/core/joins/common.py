@@ -205,14 +205,6 @@ class HashJoinRound:
     def site_of(self, hash_code: int) -> int:
         return self.joining_table.index_for(hash_code)
 
-    def hash_inner(self, row: Row) -> int:
-        return self.driver.hash_value(row[self.driver.inner_key],
-                                      self.level)
-
-    def hash_outer(self, row: Row) -> int:
-        return self.driver.hash_value(row[self.driver.outer_key],
-                                      self.level)
-
     def cutoffs(self) -> list[int | None]:
         return [table.cutoff for table in self.tables]
 

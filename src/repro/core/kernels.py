@@ -127,13 +127,6 @@ def hash_keys(keys: typing.Sequence[typing.Any], level: int,
     return None
 
 
-def remix_array(hash_codes: Array) -> Array:
-    """Vectorized :func:`repro.hashing.remix` — bit-identical for
-    32-bit hash codes (every intermediate fits uint64 exactly)."""
-    return backend.remix(
-        np.ascontiguousarray(hash_codes, dtype=np.uint64))
-
-
 def filter_indices(hash_codes: Array, num_bits: int) -> Array:
     """Filter bit indices for a batch of hash codes (remix % bits)."""
     return backend.filter_slots(

@@ -121,10 +121,6 @@ class SplitTable:
         """Bytes the table occupies in scheduler start-up messages."""
         return len(self.entries) * SPLIT_ENTRY_BYTES
 
-    def packets_needed(self, packet_size: int) -> int:
-        """Ring packets needed to ship the table to one operator."""
-        return max(1, -(-self.table_bytes // packet_size))
-
     # -- analysis helpers (used by tests and the bucket analyzer) -----------
 
     def destination_node_ids(self) -> tuple[int, ...]:
@@ -134,9 +130,6 @@ class SplitTable:
 
     def num_buckets(self) -> int:
         return max(entry.bucket for entry in self.entries) + 1
-
-    def bucket_of_index(self, index: int) -> int:
-        return self.entries[index].bucket
 
     def nodes_reachable_for_bucket(
             self, bucket: int, num_join_nodes: int) -> set[int]:

@@ -38,7 +38,6 @@ ready :class:`CostModel`, or ``None`` (which falls back to the
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import typing
 
@@ -185,12 +184,6 @@ class CostModel:
         if tuple_bytes <= 0:
             raise ValueError(f"tuple_bytes must be positive: {tuple_bytes}")
         return max(1, self.page_size // tuple_bytes)
-
-    def pages_for(self, n_tuples: int, tuple_bytes: int) -> int:
-        """Disk pages needed to hold ``n_tuples`` tuples."""
-        if n_tuples == 0:
-            return 0
-        return math.ceil(n_tuples / self.tuples_per_page(tuple_bytes))
 
     def filter_bits_per_site(self, num_sites: int) -> int:
         """Bits of the shared filter packet available to each join site."""

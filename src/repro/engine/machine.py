@@ -147,16 +147,6 @@ class GammaMachine:
                 "GammaMachine.remote(...)")
         return list(self.diskless_nodes)
 
-    def disk_node_for(self, join_site: int) -> Node:
-        """A disk node for ``join_site``'s files, round-robin.
-
-        Generic allocation helper; the join drivers use their own
-        :meth:`repro.core.joins.base.JoinDriver.overflow_host`, which
-        additionally avoids aligning a diskless site's files with the
-        hash congruence (see Figure 14's Simple curves).
-        """
-        return self.disk_nodes[join_site % self.num_disk_nodes]
-
     def fresh_port(self, label: str) -> str:
         """A machine-unique port name for one operator phase."""
         self._port_counter += 1

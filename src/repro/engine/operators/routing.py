@@ -232,10 +232,6 @@ class Router:
             raise RuntimeError(f"router {self.port!r} already closed")
         self._ready.append(((dst_node_id, bucket), rows, hashes))
 
-    @property
-    def has_ready(self) -> bool:
-        return bool(self._ready)
-
     def stash_partial(self, dst_node_id: int, bucket: int | None,
                       rows: list[Row], hashes: list[int]) -> None:
         """Leave a sub-capacity tail in the partial-packet buffers so

@@ -259,7 +259,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", 1))
+        raw = os.environ.get("REPRO_JOBS", "1")
+        try:
+            jobs = int(raw)
+        except ValueError:
+            parser.error(f"REPRO_JOBS must be an integer, got {raw!r}")
     if jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
     try:

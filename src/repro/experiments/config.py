@@ -66,6 +66,3 @@ class ExperimentConfig:
         seed = int(os.environ.get("REPRO_SEED", 1))
         jobs = int(os.environ.get("REPRO_JOBS", 1))
         return cls(scale=scale, seed=seed, jobs=jobs)
-
-    def scaled_ratios(self) -> tuple:
-        return tuple(self.memory_ratios)

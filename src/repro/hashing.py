@@ -78,12 +78,6 @@ def hash_value(value: int | str, level: int = 0) -> int:
         f"{type(value).__name__}")
 
 
-def hash_fraction(hash_code: int) -> float:
-    """Map a hash code to [0, 1) — the axis the overflow histogram and
-    cutoff mechanism of the Simple hash-join operate on (§4.1)."""
-    return hash_code / HASH_MODULUS
-
-
 def legacy_hash_int(value: int, level: int = 0) -> int:
     """A weak, locality-preserving randomizing function.
 

@@ -76,10 +76,6 @@ class TokenRing:
         """Every modelled medium (resource-sanity sweep)."""
         return [self.medium]
 
-    def reset_statistics(self) -> None:
-        self.packets_carried = 0
-        self.bytes_carried = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TokenRing packets={self.packets_carried} "
                 f"bytes={self.bytes_carried}>")

@@ -149,13 +149,6 @@ class Interconnect:
                 if link.packets]
         return sum(used) / len(used) if used else 0.0
 
-    def reset_statistics(self) -> None:
-        self.packets_carried = 0
-        self.bytes_carried = 0
-        for link in self._links():
-            link.packets = 0
-            link.bytes = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} nodes={self.num_nodes} "
                 f"packets={self.packets_carried} "

@@ -2,8 +2,8 @@
 
 Gamma's file services come from the Wisconsin Storage System (§2.2):
 structured sequential files, B+ indices, a sort utility, and a scan
-mechanism with one-page readahead.  This package provides the simulated
-equivalents:
+mechanism with one-page readahead.  None of the paper's four joins
+uses an index, so this package models the rest:
 
 * :class:`~repro.storage.disk.Disk` — a single disk arm as a contended
   resource with sequential/random page costs and I/O counters.
@@ -12,20 +12,13 @@ equivalents:
   pages.
 * :mod:`~repro.storage.sort` — the external merge-sort utility with
   run/pass arithmetic (the source of the paper's sort-merge "steps").
-* :class:`~repro.storage.btree.BPlusTree` — WiSS's B+ index structure.
-* :class:`~repro.storage.buffer.BufferPool` — an LRU page cache with
-  hit/miss accounting used by index traversals.
 """
 
-from repro.storage.buffer import BufferPool
-from repro.storage.btree import BPlusTree
 from repro.storage.disk import Disk
 from repro.storage.files import PagedFile
 from repro.storage.sort import SortPlan, plan_external_sort
 
 __all__ = [
-    "BPlusTree",
-    "BufferPool",
     "Disk",
     "PagedFile",
     "SortPlan",

@@ -83,14 +83,6 @@ class Disk:
     def total_ios(self) -> int:
         return self.pages_read + self.pages_written
 
-    def reset_statistics(self) -> None:
-        self.pages_read = 0
-        self.pages_written = 0
-        self.sequential_reads = 0
-        self.random_reads = 0
-        self.sequential_writes = 0
-        self.random_writes = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Disk {self.name!r} read={self.pages_read} "
                 f"written={self.pages_written}>")

@@ -82,11 +82,6 @@ class TestKernelParity:
                     (values, mult, offset))
 
     @settings(max_examples=60, deadline=None)
-    @given(codes=u64_arrays)
-    def test_remix(self, engine, codes):
-        assert_same(fallback.remix(codes), engine.remix(codes), codes)
-
-    @settings(max_examples=60, deadline=None)
     @given(codes=u64_arrays,
            num_bits=st.integers(min_value=1, max_value=4096))
     def test_filter_slots(self, engine, codes, num_bits):
@@ -208,7 +203,8 @@ class TestDispatcher:
             backend.activate("cext")
         assert backend.engine_name() == bound
         codes = np.arange(5, dtype=np.uint64)
-        assert_same(fallback.remix(codes), backend.remix(codes), "remix")
+        assert_same(fallback.filter_slots(codes, 64),
+                    backend.filter_slots(codes, 64), "filter_slots")
 
     def test_stale_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILED", "0")
@@ -217,12 +213,12 @@ class TestDispatcher:
     def test_counters_track_dispatch(self):
         backend.activate("fallback")
         backend.reset_counters()
-        backend.remix(np.arange(5, dtype=np.uint64))
+        backend.filter_slots(np.arange(5, dtype=np.uint64), 64)
         counts = backend.counters()
         assert counts["be_engine"] == "fallback"
         assert counts["be_fallback_calls"] == 1
         assert counts["be_compiled_calls"] == 0
-        assert counts["be_hit_remix"] == 1
+        assert counts["be_hit_filter_slots"] == 1
 
     @pytest.mark.skipif(not ENGINES, reason="cext not loadable")
     def test_compiled_counters(self):
@@ -242,7 +238,8 @@ class TestDispatcher:
         rng = np.random.default_rng(11)
         codes = rng.integers(0, U64, 64, dtype=np.uint64)
         groups = rng.integers(0, 8, 64).astype(np.int64)
-        assert_same(fallback.remix(codes), backend.remix(codes), "remix")
+        assert_same(fallback.filter_slots(codes, 64),
+                    backend.filter_slots(codes, 64), "filter_slots")
         assert_same(fallback.split_groups(groups, 8),
                     backend.split_groups(groups, 8), "split")
 
@@ -265,7 +262,8 @@ class TestDegrade:
         backend.activate()
         backend.reset_counters()
         codes = np.arange(5, dtype=np.uint64)
-        assert_same(fallback.remix(codes), backend.remix(codes), "remix")
+        assert_same(fallback.filter_slots(codes, 64),
+                    backend.filter_slots(codes, 64), "filter_slots")
         counts = backend.counters()
         assert counts["be_fallback_calls"] == 1
         assert counts["be_compiled_calls"] == 0
@@ -286,4 +284,5 @@ def test_cext_cache_env_override(tmp_path, monkeypatch):
         pytest.skip("cext unavailable on this host")
     assert any(entry.endswith(".so") for entry in os.listdir(tmp_path))
     codes = np.arange(16, dtype=np.uint64)
-    assert_same(fallback.remix(codes), engine.remix(codes), "remix")
+    assert_same(fallback.filter_slots(codes, 64),
+                engine.filter_slots(codes, 64), "filter_slots")

@@ -51,7 +51,6 @@ class TestBasicOperation:
         assert len(matches) == 4
         assert chain == 4
         assert table.max_chain == 4
-        assert table.average_chain == pytest.approx(4.0)
 
     def test_hash_collision_filtered_by_key(self):
         """Two different key values could share a hash code; probe

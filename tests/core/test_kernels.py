@@ -59,14 +59,6 @@ def test_hash_keys_negative_level():
         kernels.hash_keys([1], -1)
 
 
-@given(codes=st.lists(st.integers(0, hashing.HASH_MODULUS - 1),
-                      min_size=1, max_size=200))
-@settings(max_examples=100, deadline=None)
-def test_remix_array_matches_scalar(codes):
-    arr = kernels.remix_array(np.asarray(codes, dtype=np.uint64))
-    assert arr.tolist() == [hashing.remix(c) for c in codes]
-
-
 # ---------------------------------------------------------------------------
 # Bit filters
 # ---------------------------------------------------------------------------

@@ -46,12 +46,24 @@ class TestTopology:
         with pytest.raises(ValueError):
             GammaMachine(num_disk_nodes=2, num_diskless_join_nodes=-1)
 
-    def test_overflow_host_round_robin(self):
-        """§3.2: different overflow files assigned to different
-        disks."""
-        machine = GammaMachine.remote(4, 8)
-        hosts = [machine.disk_node_for(j).node_id for j in range(8)]
-        assert hosts == [0, 1, 2, 3, 0, 1, 2, 3]
+    def test_overflow_host_round_robin(self, tiny_db):
+        """§3.2: different overflow files on different disks.  A local
+        join site spools to its own drive; diskless site ``i`` spools
+        to disk node ``(i + 1) % D``, off the hash congruence, so remote
+        overflow never short-circuits (Figure 14's Simple curves)."""
+        from repro.core.joins import ALGORITHMS, JoinSpec
+
+        def driver(machine, configuration):
+            return ALGORITHMS["simple"](
+                machine, tiny_db.outer, tiny_db.inner,
+                JoinSpec(memory_ratio=1.0, configuration=configuration))
+
+        local = driver(GammaMachine.local(4), "local")
+        assert [local.overflow_host(i) for i in range(4)] == \
+            local.join_sites
+        remote = driver(GammaMachine.remote(4, 8), "remote")
+        hosts = [remote.overflow_host(i).node_id for i in range(8)]
+        assert hosts == [1, 2, 3, 0, 1, 2, 3, 0]
 
 
 class TestNode:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.costs import DEFAULT_COSTS, resolve_profile
+from repro.experiments import __main__ as cli
 from repro.experiments.figures import Figure
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import (
@@ -12,6 +14,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import Series, SweepPoint, Table
 from repro.experiments.__main__ import build_parser, main
+from repro.network.topology import resolve_topology_name
 
 
 def sample_figure():
@@ -113,3 +116,48 @@ class TestCli:
         assert args.scale == 1.0
         assert args.seed == 1
         assert not args.verify
+
+    def test_bad_repro_jobs_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure5"])
+        assert excinfo.value.code == 2
+        assert "REPRO_JOBS must be an integer, got 'abc'" in \
+            capsys.readouterr().err
+
+
+class TestDefaultProfileResolution:
+    """Naming the defaults is the same as leaving them unset: every
+    spelling of ``gamma-1989`` / ``token-ring`` resolves to the very
+    objects an unset environment does, so the goldens (which pin the
+    rendered numbers) cover all of them."""
+
+    @pytest.mark.parametrize("env", [None, "gamma-1989"])
+    @pytest.mark.parametrize("designator", [None, "gamma-1989"])
+    def test_profile(self, monkeypatch, env, designator):
+        if env is None:
+            monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PROFILE", env)
+        assert resolve_profile(designator) is DEFAULT_COSTS
+
+    @pytest.mark.parametrize("env", [None, "token-ring"])
+    @pytest.mark.parametrize("designator", [None, "token-ring"])
+    def test_topology(self, monkeypatch, env, designator):
+        if env is None:
+            monkeypatch.delenv("REPRO_TOPOLOGY", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TOPOLOGY", env)
+        assert resolve_topology_name(designator) == "token-ring"
+
+    def test_cli_flags(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        monkeypatch.delenv("REPRO_TOPOLOGY", raising=False)
+        built = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda name, config, out: built.append(config))
+        assert main(["figure5", "--hardware-profile", "gamma-1989",
+                     "--topology", "token-ring"]) == 0
+        (config,) = built
+        assert resolve_profile(config.hardware_profile) is DEFAULT_COSTS
+        assert resolve_topology_name(config.topology) == "token-ring"

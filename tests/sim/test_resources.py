@@ -204,6 +204,45 @@ class TestResourceStatistics:
                                                observe=False)[-1]
 
 
+def run_kernel_workload(n_workers: int, n_ops: int,
+                        classic: bool = False) -> Simulator:
+    """Deterministic mixed contended/uncontended kernel workload:
+    per-worker uncontended holds, periodic holds on one shared
+    resource, and occasional plain timeouts.
+
+    ``classic`` spells every resource use out as the long chain."""
+    sim = Simulator()
+    shared = Resource(sim, capacity=1, name="shared")
+
+    def use(resource: Resource, duration: float):
+        if classic:
+            return classic_use(sim, resource, duration)
+        return resource.use(duration)
+
+    def worker(index: int):
+        own = Resource(sim, capacity=1, name=f"own{index}")
+        hold = 0.0001 * (index + 1)
+        for op in range(n_ops):
+            yield from use(own, hold)
+            if op % 8 == 0:
+                yield from use(shared, 0.0003)
+            if op % 32 == 0:
+                yield sim.timeout(0.001)
+
+    for index in range(n_workers):
+        sim.process(worker(index))
+    sim.run()
+    return sim
+
+
+def test_use_matches_classic_clock():
+    """Grant-and-hold may not move a single simulated timestamp."""
+    fast = run_kernel_workload(n_workers=4, n_ops=300)
+    classic = run_kernel_workload(n_workers=4, n_ops=300, classic=True)
+    assert fast.fastpath_holds and not classic.fastpath_holds
+    assert repr(fast.now) == repr(classic.now)
+
+
 class TestStore:
     def test_put_then_get(self, sim):
         store = Store(sim)

@@ -89,11 +89,3 @@ class TestContention:
         one = 100 * COSTS.disk_page_read_sequential
         assert finished == [("a", pytest.approx(one)),
                             ("b", pytest.approx(2 * one))]
-
-    def test_reset_statistics(self):
-        def body(sim, disk):
-            yield from disk.read_pages(4)
-
-        _, disk = run_io(body)
-        disk.reset_statistics()
-        assert disk.total_ios == 0

@@ -34,12 +34,6 @@ class TestPageArithmetic:
         # 208-byte tuples in an 8 KB page: 39 tuples.
         assert DEFAULT_COSTS.tuples_per_page(208) == 39
 
-    def test_pages_for_paper_relations(self):
-        # 100 000-tuple relation: ceil(100000/39) = 2565 pages ~ 20 MB.
-        assert DEFAULT_COSTS.pages_for(100_000, 208) == 2565
-        assert DEFAULT_COSTS.pages_for(0, 208) == 0
-        assert DEFAULT_COSTS.pages_for(1, 208) == 1
-
 
 class TestFilterArithmetic:
     def test_paper_bits_per_site(self):

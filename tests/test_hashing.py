@@ -40,11 +40,6 @@ class TestHashBasics:
         with pytest.raises(TypeError):
             hashing.hash_value(3.14)
 
-    def test_fraction_in_unit_interval(self):
-        for value in range(100):
-            fraction = hashing.hash_fraction(hashing.hash_int(value))
-            assert 0.0 <= fraction < 1.0
-
 
 class TestBalanceProperties:
     """The distribution properties the reproduction relies on

@@ -76,11 +76,9 @@ class TestSplitTableProperties:
         charges."""
         machine = GammaMachine.local(8)
         table = SplitTable.grace_partitioning(6, machine.disk_nodes)
-        assert table.table_bytes == 1920
-        assert table.packets_needed(2048) == 1
+        assert table.table_bytes == 1920 <= 2048
         bigger = SplitTable.grace_partitioning(7, machine.disk_nodes)
-        assert bigger.table_bytes == 2240
-        assert bigger.packets_needed(2048) == 2
+        assert bigger.table_bytes == 2240 > 2048
 
 
 # --------------------------------------------------------------------------
