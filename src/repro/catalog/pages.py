@@ -119,7 +119,7 @@ class ColumnPage:
         self._layout = layout
         #: One list per ``layout.obj_pos`` entry.
         self._objs = objs
-        #: (key_index, level, family) -> (uint64 ndarray, list[int]).
+        #: (key_index, level, family) -> uint64 hash ndarray.
         self._hash_cache: dict = {}
 
     # -- construction -------------------------------------------------------
@@ -346,15 +346,21 @@ class ColumnPage:
         a column defies vectorized comparison.
 
         Matches ``sorted(rows, key=lambda r: (r[key_index], r))``
-        exactly: ``np.lexsort`` compares the key column first, then the
-        full row left to right.  Constant columns contribute equality
-        at their position for every pair, so they are skipped; a plain
-        ``list`` column (arbitrary objects) makes the order
-        non-vectorizable and returns None.
+        exactly.  When the key column has no ties the row tiebreak
+        never decides, so one stable ``argsort`` of the key is the
+        order; otherwise ``np.lexsort`` compares the key column first,
+        then the full row left to right.  Constant columns contribute
+        equality at their position for every pair, so they are
+        skipped; a plain ``list`` column (arbitrary objects) makes the
+        order non-vectorizable and returns None.
         """
         primary = self.column_array(key_index)
         if primary is None or self._objs:
             return None
+        order = np.argsort(primary, kind="stable")
+        ranked = primary[order]
+        if not (ranked[1:] == ranked[:-1]).any():
+            return order
         # lexsort's last key is the most significant: block rows are in
         # ascending tuple position, so reversed they are the tiebreak.
         return np.lexsort([*self._block[::-1], primary])
@@ -362,14 +368,22 @@ class ColumnPage:
     # -- join-key hash-column cache ------------------------------------------
 
     def cached_hashes(self, key_index: int, level: int, family: str
-                      ) -> tuple[Array, list] | None:
-        """The cached (hash_array, hash_ints) pair, or None."""
+                      ) -> Array | None:
+        """The cached uint64 hash array, or None."""
         return self._hash_cache.get((key_index, level, family))
 
     def store_hashes(self, key_index: int, level: int, family: str,
-                     hash_array: Array, hash_ints: list) -> None:
-        self._hash_cache[(key_index, level, family)] = (hash_array,
-                                                        hash_ints)
+                     hash_array: Array) -> None:
+        self._hash_cache[(key_index, level, family)] = hash_array
+
+
+def take_rows(rows: typing.Sequence[Row],
+              at: list[int]) -> typing.Sequence[Row]:
+    """``[rows[i] for i in at]`` — one gather when ``rows`` is a
+    :class:`ColumnPage`, so no unselected row is ever built."""
+    if isinstance(rows, ColumnPage):
+        return rows.take(at)
+    return [rows[i] for i in at]
 
 
 def _fits_block(col: Array) -> bool:

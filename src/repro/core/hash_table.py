@@ -41,7 +41,7 @@ import typing
 
 import numpy as np
 
-from repro.catalog.pages import ColumnPage
+from repro.catalog.pages import ColumnPage, take_rows
 from repro.core import backend
 from repro.hashing import HASH_MODULUS
 
@@ -108,6 +108,8 @@ class JoinHashTable:
         self.overflow_events = 0
         self.tuples_evicted = 0
         self.tuples_scanned_during_eviction = 0
+        #: Probe pages answered from the arena's sorted index.
+        self.arena_probe_pages = 0
         self._max_chain = 0
         self.total_inserted = 0
 
@@ -361,26 +363,41 @@ class JoinHashTable:
                    tuple_probe: float, tuple_chain_link: float,
                    result_move: float,
                    emit: typing.Callable[[Row], None]) -> float:
-        """Probe a whole page; returns the accumulated CPU time.
+        """:meth:`probe_batch` with each result row handed to ``emit``
+        in order; returns the accumulated CPU time."""
+        cpu, results = self.probe_batch(
+            rows, hashes, outer_key, inner_key, tuple_receive,
+            tuple_probe, tuple_chain_link, result_move)
+        for row in results:
+            emit(row)
+        return cpu
+
+    def probe_batch(self, rows: typing.Sequence[Row],
+                    hashes: typing.Sequence[int], outer_key: int,
+                    inner_key: int, tuple_receive: float,
+                    tuple_probe: float, tuple_chain_link: float,
+                    result_move: float) -> tuple[float, list[Row]]:
+        """Probe a whole page: ``(cpu, results)``.
 
         Bit-equal to the scalar probe consumer: per row the charges are
         ``cpu += tuple_receive; cpu += tuple_probe [+ (chain-1) *
         tuple_chain_link]; cpu += result_move`` per match, in the same
-        order and operand grouping.
+        order and operand grouping, and ``results`` holds the joined
+        rows (inner + outer) in the order the scalar consumer emits
+        them: per outer row, matches in insertion order.
 
         While the table is in arena mode the probe runs against the
-        sorted-range index instead of chains: same charges, same emit
-        order (per outer row, matches in insertion order), and row
-        tuples are materialized only for actual matches.  Probe pages
-        under :data:`PROBE_ARENA_MIN_ROWS` rows instead drop the table
-        to scalar chains once and for all — the gather the arena probe
-        amortizes per page never pays for itself on tiny packets.
+        sorted-range index instead of chains (same charges, same
+        results).  Probe pages under :data:`PROBE_ARENA_MIN_ROWS` rows
+        instead drop the table to scalar chains once and for all — the
+        gather the arena probe amortizes per page never pays for itself
+        on tiny packets.
         """
         if self._arena is not None:
             if len(rows) >= PROBE_ARENA_MIN_ROWS:
-                return self._probe_page_arena(
+                return self._probe_batch_arena(
                     rows, hashes, outer_key, inner_key, tuple_receive,
-                    tuple_probe, tuple_chain_link, result_move, emit)
+                    tuple_probe, tuple_chain_link, result_move)
             self._materialize()
         slots = self._slots
         # A columnar packet is read by its key column alone; a row
@@ -389,6 +406,7 @@ class JoinHashTable:
         # materializing the whole packet at the first match).
         out_values = (rows.column_values(outer_key)
                       if isinstance(rows, ColumnPage) else None)
+        results: list[Row] = []
         cpu = 0.0
         for i, hash_code in enumerate(hashes):
             cpu += tuple_receive
@@ -409,22 +427,28 @@ class JoinHashTable:
                     cpu += result_move
                     if row is None:
                         row = rows[i]
-                    emit(match + row)
-        return cpu
+                    results.append(match + row)
+        return cpu, results
 
-    def _probe_page_arena(self, rows: typing.Sequence[Row],
-                          hashes: typing.Sequence[int], outer_key: int,
-                          inner_key: int, tuple_receive: float,
-                          tuple_probe: float, tuple_chain_link: float,
-                          result_move: float,
-                          emit: typing.Callable[[Row], None]) -> float:
-        """Arena-mode :meth:`probe_page`: bit-equal charges and emits."""
+    def _probe_batch_arena(self, rows: typing.Sequence[Row],
+                           hashes: typing.Sequence[int], outer_key: int,
+                           inner_key: int, tuple_receive: float,
+                           tuple_probe: float, tuple_chain_link: float,
+                           result_move: float
+                           ) -> tuple[float, list[Row]]:
+        """Arena-mode :meth:`probe_batch`: bit-equal charges, the same
+        results.  The row loop only records (outer, arena) match
+        positions; the matched outer rows are gathered in one call
+        afterwards, so an outer row that matches nothing is never
+        built."""
+        self.arena_probe_pages += 1
         index = self._arena_groups()
         keys: list | None = None
         inner_rows: list | None = None
-        columnar = isinstance(rows, ColumnPage)
-        out_values = rows.column_values(outer_key) if columnar else None
-        out_rows: typing.Sequence[Row] | None = None if columnar else rows
+        out_values = (rows.column_values(outer_key)
+                      if isinstance(rows, ColumnPage) else None)
+        outer_at: list[int] = []
+        inner_at: list[int] = []
         cpu = 0.0
         for i, hash_code in enumerate(hashes):
             cpu += tuple_receive
@@ -445,13 +469,13 @@ class JoinHashTable:
             for j in range(start, end):
                 if keys[j] == value:
                     cpu += result_move
-                    if out_rows is None:
-                        # First match in a columnar packet: bulk
-                        # materialization beats per-row indexing as
-                        # soon as a second row matches.
-                        out_rows = list(rows)
-                    emit(inner_rows[j] + out_rows[i])
-        return cpu
+                    outer_at.append(i)
+                    inner_at.append(j)
+        if not outer_at:
+            return cpu, []
+        assert inner_rows is not None
+        return cpu, [inner_rows[j] + row for j, row in
+                     zip(inner_at, take_rows(rows, outer_at))]
 
     def resident_rows(self) -> typing.Iterator[tuple[Row, int]]:
         """All (row, hash) pairs currently resident (diagnostics)."""

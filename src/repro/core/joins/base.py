@@ -461,3 +461,5 @@ class JoinDriver:
             if table.max_chain > self.max_chain:
                 self.max_chain = table.max_chain
             self.bump("tuples_built", table.total_inserted)
+            self.machine.dataplane.probe_arena_packets += (
+                table.arena_probe_pages)

@@ -533,8 +533,8 @@ class HashJoinRound:
         tuple_probe = costs.tuple_probe
         tuple_chain_link = costs.tuple_chain_link
         result_move = costs.tuple_result + costs.tuple_move
-        probe_page = table.probe_page
-        give_round_robin = store_router.give_round_robin
+        probe_batch = table.probe_batch
+        give_round_robin_batch = store_router.give_round_robin_batch
         dataplane = machine.dataplane
         # Inlined NetworkService.receive_charge (both message kinds on
         # this port carry src_node, so the general path reduces to a
@@ -559,10 +559,11 @@ class HashJoinRound:
             if mon is not None:
                 mon.note_received(len(message.rows))
             dataplane.packets_batched += 1
-            cpu = probe_page(message.rows, message.hashes, outer_key,
-                             inner_key, tuple_receive, tuple_probe,
-                             tuple_chain_link, result_move,
-                             give_round_robin)
+            cpu, results = probe_batch(
+                message.rows, message.hashes, outer_key, inner_key,
+                tuple_receive, tuple_probe, tuple_chain_link, result_move)
+            if results:
+                give_round_robin_batch(results)
             yield from node.cpu_use(cpu)
             if store_router._ready:
                 yield from store_router.flush_ready()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.catalog.pages import ColumnPage
+from repro.catalog.pages import ColumnPage, take_rows
 from repro.core import kernels
 from repro.core.bit_filter import FilterBank
 from repro.core.joins.base import JoinConfigError, JoinDriver
@@ -322,8 +322,11 @@ class SortMergeJoin(JoinDriver):
         §4.4 skipped-read effect.
 
         The merge cursors walk plain Python key-value lists (one
-        column extraction per side), so a columnar fragment only
-        materializes the row tuples that actually join.
+        column extraction per side) and record each outer page's match
+        positions; the page's joined rows are then gathered from both
+        sides in one call each and routed as one batch before the
+        page's flush, so only the row tuples that actually join are
+        ever materialized.
         """
         costs = self.costs
         disk = node.require_disk()
@@ -353,6 +356,8 @@ class SortMergeJoin(JoinDriver):
             yield from disk.read_pages(1, sequential=True)
             s_pages_read += 1
             cpu = 0.0
+            r_at: list[int] = []
+            s_at: list[int] = []
             for s_i in range(s_start, s_end):
                 s_consumed += 1
                 value = s_keys[s_i]
@@ -376,15 +381,17 @@ class SortMergeJoin(JoinDriver):
                     r_pages_read = needed_pages
                 # Backup over duplicates: scan the run of equal keys.
                 probe = r_index
-                s_row: Row | None = None
                 while probe < n_r and r_keys[probe] == value:
                     cpu += (costs.sort_compare + costs.tuple_result
                             + costs.tuple_move)
-                    if s_row is None:
-                        s_row = s_rows[s_i]
-                    store_router.give_round_robin(r_rows[probe] + s_row)
+                    r_at.append(probe)
+                    s_at.append(s_i)
                     probe += 1
                 cpu += costs.sort_compare
+            if r_at:
+                store_router.give_round_robin_batch(
+                    [r + s for r, s in zip(take_rows(r_rows, r_at),
+                                           take_rows(s_rows, s_at))])
             yield from node.cpu_use(cpu)
             yield from store_router.flush_ready()
 

@@ -68,7 +68,8 @@ class DataPlaneCounters:
     """
 
     __slots__ = ("pages_batched", "rows_batched", "pages_scalar",
-                 "packets_batched", "packets_scalar")
+                 "packets_batched", "packets_scalar",
+                 "probe_arena_packets")
 
     def __init__(self) -> None:
         #: Scan pages routed through a RoutePlan.
@@ -81,6 +82,9 @@ class DataPlaneCounters:
         #: Consumer packets that dropped to the scalar protocol (the
         #: overflow cutoff machinery fired, or would fire, mid-page).
         self.packets_scalar = 0
+        #: Probe packets answered from a hash table's columnar arena
+        #: (packets of at least ``PROBE_ARENA_MIN_ROWS`` rows).
+        self.probe_arena_packets = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -89,6 +93,7 @@ class DataPlaneCounters:
             "dp_pages_scalar": self.pages_scalar,
             "dp_packets_batched": self.packets_batched,
             "dp_packets_scalar": self.packets_scalar,
+            "dp_probe_arena_packets": self.probe_arena_packets,
         }
 
 
@@ -172,8 +177,6 @@ class Column(typing.NamedTuple):
     rows: typing.Sequence[Row]
     #: uint64 ndarray of the rows' join-key hash codes.
     arr: Array
-    #: The same hashes as Python ints (packet payloads).
-    ints: list[int]
 
 
 def resolve_column(machine: "GammaMachine",
@@ -193,47 +196,42 @@ def resolve_column(machine: "GammaMachine",
     if rows is None:
         return None
     if not rows:
-        return Column(rows, np.empty(0, dtype=np.uint64), [])
+        return Column(rows, np.empty(0, dtype=np.uint64))
     memo = machine.key_hash_memo
     if isinstance(rows, ColumnPage):
         # Columnar sources carry their own hash-column cache, keyed by
         # value (key_index, level, family) — it travels with the page
         # through routing and temp files, replacing the machine-wide
         # id()-keyed memo lookups for this source.
-        pair = rows.cached_hashes(key_index, level, family)
-        if pair is not None:
+        arr = rows.cached_hashes(key_index, level, family)
+        if arr is not None:
             memo.hits += 1
-            return Column(rows, pair[0], pair[1])
+            return Column(rows, arr)
         if stored is not None:
-            ints = stored if isinstance(stored, list) else list(stored)
-            arr = np.asarray(ints, dtype=np.uint64)
-            rows.store_hashes(key_index, level, family, arr, ints)
+            arr = np.asarray(stored, dtype=np.uint64)
+            rows.store_hashes(key_index, level, family, arr)
             memo.hits += 1
-            return Column(rows, arr, ints)
+            return Column(rows, arr)
         key_column = rows.column_array(key_index)
         arr = (hash_keys(key_column, level, family)
                if key_column is not None else None)
         if arr is None:
             return None
-        ints = arr.tolist()
-        rows.store_hashes(key_index, level, family, arr, ints)
+        rows.store_hashes(key_index, level, family, arr)
         memo.misses += 1
-        return Column(rows, arr, ints)
-    cached = memo.lookup(rows, key_index, level, family)
-    if cached is not None:
-        return Column(rows, cached[0], cached[1])
+        return Column(rows, arr)
+    arr = memo.lookup(rows, key_index, level, family)
+    if arr is not None:
+        return Column(rows, arr)
     if stored is not None:
-        ints = stored if isinstance(stored, list) else list(stored)
-        arr = np.asarray(ints, dtype=np.uint64)
-        memo.store(rows, key_index, level, family, arr, ints,
-                   computed=False)
-        return Column(rows, arr, ints)
+        arr = np.asarray(stored, dtype=np.uint64)
+        memo.store(rows, key_index, level, family, arr, computed=False)
+        return Column(rows, arr)
     arr = hash_keys([row[key_index] for row in rows], level, family)
     if arr is None:
         return None
-    ints = arr.tolist()
-    memo.store(rows, key_index, level, family, arr, ints)
-    return Column(rows, arr, ints)
+    memo.store(rows, key_index, level, family, arr)
+    return Column(rows, arr)
 
 
 # --------------------------------------------------------------------------
@@ -253,13 +251,18 @@ class RoutePlan:
     sequence — and stashes the per-group tails for ``Router.close()``,
     which sorts leftovers deterministically regardless of insertion
     order.
+
+    The schedule is laid out in numpy: packet bounds, completing rows
+    and their order come from the gathered row index, and the packet
+    hashes from one gather of the column's hash array, so no per-row
+    Python object is built beyond the payload hash ints.
     """
 
-    __slots__ = ("router", "total_rows", "subset_rows", "_events",
-                 "_leftovers", "_next", "_pos", "_finalized")
+    __slots__ = ("router", "total_rows", "subset_rows", "_done_at",
+                 "_events", "_leftovers", "_next", "_pos", "_finalized")
 
     def __init__(self, router: "Router", rows: typing.Sequence[Row],
-                 hash_ints: typing.Sequence[int], groups: Array,
+                 hash_arr: Array, groups: Array,
                  row_index: Array | None,
                  dst_of_group: typing.Sequence[int],
                  bucket_of_group: typing.Sequence[int] | None) -> None:
@@ -269,8 +272,10 @@ class RoutePlan:
         self._next = 0
         self._finalized = False
         capacity = router.capacity
-        events: list[tuple[int, int, int | None,
-                           typing.Sequence[Row], list[int]]] = []
+        #: Scan position of each packet's completing row, ascending.
+        done_at: list[int] = []
+        events: list[tuple[int, int | None, typing.Sequence[Row],
+                           list[int]]] = []
         leftovers: list[tuple[int, int | None,
                               typing.Sequence[Row], list[int]]] = []
         n = int(len(groups))
@@ -280,11 +285,7 @@ class RoutePlan:
                 np.ascontiguousarray(groups, dtype=np.int64),
                 len(dst_of_group))
             src = order if row_index is None else row_index[order]
-            starts = seg_starts.tolist()
-            ends = seg_ends.tolist()
-            groups_of_seg = seg_groups.tolist()
-            src_list = src.tolist()
-            sorted_hashes = [hash_ints[i] for i in src_list]
+            sorted_hashes = hash_arr[src].tolist()
             sorted_rows: typing.Sequence[Row]
             if isinstance(rows, ColumnPage):
                 # Columnar source: one C-level gather of the whole
@@ -293,26 +294,39 @@ class RoutePlan:
                 sorted_rows = rows.take(src)
                 cut = sorted_rows.cut
             else:
-                sorted_rows = [rows[i] for i in src_list]
+                sorted_rows = [rows[i] for i in src.tolist()]
                 cut = None
-            for a, b, group in zip(starts, ends, groups_of_seg):
-                dst = dst_of_group[group]
-                bucket = (None if bucket_of_group is None
-                          else bucket_of_group[group])
-                # Full packets first; what is left is the group's tail.
-                tail = b - (b - a) % capacity
-                for lo in range(a, tail, capacity):
-                    hi = lo + capacity
-                    events.append((
-                        src_list[hi - 1], dst, bucket,
-                        cut(lo, hi) if cut else sorted_rows[lo:hi],
-                        sorted_hashes[lo:hi]))
+            groups_of_seg = seg_groups.tolist()
+            seg_dst = [dst_of_group[g] for g in groups_of_seg]
+            seg_bucket = [None if bucket_of_group is None
+                          else bucket_of_group[g] for g in groups_of_seg]
+            # Full packets, segment by segment, then ordered by the
+            # scan position of their last row (distinct: every row is
+            # in one packet at most).
+            n_full = (seg_ends - seg_starts) // capacity
+            seg_of = np.repeat(np.arange(len(n_full)), n_full)
+            first = np.cumsum(n_full) - n_full
+            lo = seg_starts[seg_of] + capacity * (
+                np.arange(len(seg_of)) - first[seg_of])
+            completes = src[lo + (capacity - 1)]
+            by_completion = np.argsort(completes)
+            done_at = completes[by_completion].tolist()
+            for lo_i, seg in zip(lo[by_completion].tolist(),
+                                 seg_of[by_completion].tolist()):
+                hi = lo_i + capacity
+                events.append((
+                    seg_dst[seg], seg_bucket[seg],
+                    cut(lo_i, hi) if cut else sorted_rows[lo_i:hi],
+                    sorted_hashes[lo_i:hi]))
+            # What is left of each group is its tail.
+            tails = (seg_ends - (seg_ends - seg_starts) % capacity).tolist()
+            for seg, (tail, b) in enumerate(zip(tails, seg_ends.tolist())):
                 if tail < b:
                     leftovers.append((
-                        dst, bucket,
+                        seg_dst[seg], seg_bucket[seg],
                         cut(tail, b) if cut else sorted_rows[tail:b],
                         sorted_hashes[tail:b]))
-            events.sort(key=lambda event: event[0])
+        self._done_at = done_at
         self._events = events
         self._leftovers = leftovers
 
@@ -320,16 +334,15 @@ class RoutePlan:
         """Account for one scanned page; release completed packets."""
         pos = self._pos + page_rows
         self._pos = pos
-        events = self._events
+        done_at = self._done_at
         i = self._next
-        router = self.router
-        while i < len(events) and events[i][0] < pos:
-            _, dst, bucket, rows, hashes = events[i]
-            router.push_ready(dst, bucket, rows, hashes)
+        while i < len(done_at) and done_at[i] < pos:
+            self.router.push_ready(*self._events[i])
             i += 1
         self._next = i
         if pos >= self.total_rows and not self._finalized:
             self._finalized = True
+            router = self.router
             for dst, bucket, rows, hashes in self._leftovers:
                 router.stash_partial(dst, bucket, rows, hashes)
             router.tuples_routed += self.subset_rows
@@ -386,7 +399,7 @@ def vector_simple_route(counters: DataPlaneCounters, column: Column,
     """Constant-cost single-router route: build side, Grace forming,
     sort-merge partitioning."""
     groups = column.arr % np.uint64(n_groups)
-    plan = RoutePlan(router, column.rows, column.ints, groups, None,
+    plan = RoutePlan(router, column.rows, column.arr, groups, None,
                      dst_of_group, bucket_of_group)
     cpu_for = constant_page_cost(tuple_scan, r_const)
 
@@ -419,7 +432,7 @@ def vector_probe_route(counters: DataPlaneCounters, column: Column,
     snapshots ``cutoffs()`` at the same moment).
     """
     arr = column.arr
-    n = len(column.ints)
+    n = len(arr)
     sites = (arr % np.uint64(n_entries)).astype(np.int64)
     tuple_scan = costs.tuple_scan
     tuple_hash = costs.tuple_hash
@@ -445,11 +458,11 @@ def vector_probe_route(counters: DataPlaneCounters, column: Column,
 
     plans: list[RoutePlan] = []
     if probe_mask is None:
-        plans.append(RoutePlan(probe_router, column.rows, column.ints,
+        plans.append(RoutePlan(probe_router, column.rows, column.arr,
                                sites, None, site_ids, None))
     else:
         idx = np.flatnonzero(probe_mask)
-        plans.append(RoutePlan(probe_router, column.rows, column.ints,
+        plans.append(RoutePlan(probe_router, column.rows, column.arr,
                                sites[idx], idx, site_ids, None))
     if spool_mask is not None:
         idx = np.flatnonzero(spool_mask)
@@ -457,7 +470,7 @@ def vector_probe_route(counters: DataPlaneCounters, column: Column,
         if n_spooled:
             assert spool_router is not None and host_ids is not None
             plans.append(RoutePlan(spool_router, column.rows,
-                                   column.ints, sites[idx], idx,
+                                   column.arr, sites[idx], idx,
                                    host_ids,
                                    list(range(len(host_ids)))))
             if bump_spooled is not None:
@@ -505,12 +518,12 @@ def vector_hybrid_inner_route(counters: DataPlaneCounters,
     bucket_arr = np.asarray(entry_buckets, dtype=np.int64)
     b0 = bucket_arr[entry_idx] == 0
     bidx = np.flatnonzero(b0)
-    plans = [RoutePlan(build_router, column.rows, column.ints,
+    plans = [RoutePlan(build_router, column.rows, column.arr,
                        entry_idx[bidx], bidx, entry_dst, None)]
     tidx = np.flatnonzero(~b0)
     if len(tidx):
         assert temp_router is not None
-        plans.append(RoutePlan(temp_router, column.rows, column.ints,
+        plans.append(RoutePlan(temp_router, column.rows, column.arr,
                                entry_idx[tidx], tidx, entry_dst,
                                entry_buckets))
     cpu_for = constant_page_cost(tuple_scan, r_const)
@@ -547,7 +560,7 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
     """
     n_entries = len(entry_dst)
     arr = column.arr
-    n = len(column.ints)
+    n = len(arr)
     entry_idx = (arr % np.uint64(n_entries)).astype(np.int64)
     bucket_arr = np.asarray(entry_buckets, dtype=np.int64)
     b0 = bucket_arr[entry_idx] == 0
@@ -577,21 +590,21 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
 
     plans: list[RoutePlan] = []
     pidx = np.flatnonzero(probe_mask)
-    plans.append(RoutePlan(probe_router, column.rows, column.ints,
+    plans.append(RoutePlan(probe_router, column.rows, column.arr,
                            entry_idx[pidx], pidx, entry_dst, None))
     if spool_mask is not None:
         sidx = np.flatnonzero(spool_mask)
         n_spooled = int(len(sidx))
         if n_spooled:
             plans.append(RoutePlan(spool_router, column.rows,
-                                   column.ints, entry_idx[sidx], sidx,
+                                   column.arr, entry_idx[sidx], sidx,
                                    host_ids,
                                    list(range(len(host_ids)))))
             bump_spooled(n_spooled)
     tidx = np.flatnonzero(~b0)
     if len(tidx):
         assert temp_router is not None
-        plans.append(RoutePlan(temp_router, column.rows, column.ints,
+        plans.append(RoutePlan(temp_router, column.rows, column.arr,
                                entry_idx[tidx], tidx, entry_dst,
                                entry_buckets))
 

@@ -268,6 +268,35 @@ class Router:
         self._rr_next = (self._rr_next + 1) % len(self.consumers)
         self.give(node.node_id, row, 0)
 
+    def give_round_robin_batch(self, rows: typing.Sequence[Row]) -> None:
+        """:meth:`give_round_robin` over ``rows`` in one call: the same
+        rotation, buffer fill, capacity rollover and ready order, with
+        the per-call lookups hoisted out of the row loop."""
+        if self.closed:
+            raise RuntimeError(f"router {self.port!r} already closed")
+        consumers = self.consumers
+        n_consumers = len(consumers)
+        rr = self._rr_next
+        capacity = self.capacity
+        buffers0 = self._buffers0
+        ready = self._ready
+        for row in rows:
+            dst = consumers[rr].node_id
+            rr += 1
+            if rr == n_consumers:
+                rr = 0
+            buffer = buffers0.get(dst)
+            if buffer is None:
+                buffer = buffers0[dst] = ([], [])
+            brows, bhashes = buffer
+            brows.append(row)
+            bhashes.append(0)
+            if len(brows) >= capacity:
+                del buffers0[dst]
+                ready.append(((dst, None), brows, bhashes))
+        self._rr_next = rr
+        self.tuples_routed += len(rows)
+
     # -- transmission (simulated) --------------------------------------------
 
     def flush_ready(self) -> typing.Generator:

@@ -141,7 +141,8 @@ def _dataplane_summary(outcome) -> str | None:
             f"pages batched={pages} (scalar fallback={scalar_pages}, "
             f"rows={totals.get('dp_rows_batched', 0)})  "
             f"packets batched={packets} "
-            f"(scalar fallback={scalar_packets})  "
+            f"(scalar fallback={scalar_packets}, "
+            f"arena probes={totals.get('dp_probe_arena_packets', 0)})  "
             f"hash-cache hit rate={rate(hits, misses)} "
             f"({hits}/{hits + misses})")
 

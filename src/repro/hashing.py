@@ -177,21 +177,21 @@ class KeyHashMemo:
 
     def __init__(self) -> None:
         self._entries: dict[tuple[int, int, int, str],
-                            tuple[object, object, list]] = {}
+                            tuple[object, object]] = {}
         self.hits = 0
         self.misses = 0
 
     def lookup(self, rows: object, key_index: int, level: int,
-               family: str) -> tuple[object, list] | None:
-        """The memoized (hash_array, hash_ints) pair, or None."""
+               family: str) -> object | None:
+        """The memoized hash array, or None."""
         entry = self._entries.get((id(rows), key_index, level, family))
         if entry is not None and entry[0] is rows:
             self.hits += 1
-            return entry[1], entry[2]
+            return entry[1]
         return None
 
     def store(self, rows: object, key_index: int, level: int,
-              family: str, hash_array: object, hash_ints: list,
+              family: str, hash_array: object,
               computed: bool = True) -> None:
         """Record a resolved column (``computed=False`` marks a reuse
         of persisted hashes, counted as a hit)."""
@@ -200,7 +200,7 @@ class KeyHashMemo:
         else:
             self.hits += 1
         self._entries[(id(rows), key_index, level, family)] = (
-            rows, hash_array, hash_ints)
+            rows, hash_array)
 
 
 def remix(hash_code: int) -> int:

@@ -120,8 +120,10 @@ def sort_rows(rows: typing.Sequence[Row],
     Ties are broken by full-row comparison purely for determinism —
     a stable, reproducible order keeps every simulation replayable.
     A :class:`~repro.catalog.pages.ColumnPage` input sorts columnar
-    (``np.lexsort`` over the same comparison keys) and stays a page;
-    anything else returns the classic sorted tuple list.
+    (:meth:`~repro.catalog.pages.ColumnPage.sort_order`: one argsort of
+    a tie-free key, else ``np.lexsort`` over the same comparison keys)
+    and stays a page; anything else returns the classic sorted tuple
+    list.
     """
     if isinstance(rows, ColumnPage):
         order = rows.sort_order(key_index)

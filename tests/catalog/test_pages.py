@@ -181,6 +181,36 @@ class TestSequenceModel:
             assert [oracle[i] for i in order.tolist()] == expected
             assert list(page.take(order)) == expected
 
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sort_order_distinct_and_tied_keys(self, data, tied):
+        """A tie-free key column sorts by one argsort, never reaching
+        ``np.lexsort``; a key with ties takes the lexsort.  Both orders
+        are the tuple list's ``(key, row)`` sort."""
+        from unittest import mock
+        width = data.draw(st.integers(1, 4))
+        key = data.draw(st.integers(0, width - 1))
+        n = data.draw(st.integers(2, 20))
+        columns = [data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                      max_size=n))
+                   for _ in range(width)]
+        keys = data.draw(st.lists(int_values, min_size=n, max_size=n,
+                                  unique=True))
+        if tied:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                      max_size=2, unique=True))
+            keys[j] = keys[i]
+        columns[key] = keys
+        page = ColumnPage.from_columns(
+            [np.array(col, dtype=np.int64) for col in columns]
+            + [ConstColumn("c")], n=n)
+        oracle = [(*row, "c") for row in zip(*columns)]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            order = page.sort_order(key)
+        assert lexsort.called == tied
+        expected = sorted(oracle, key=lambda row: (row[key], row))
+        assert [oracle[i] for i in order.tolist()] == expected
+
     @given(pages())
     @settings(max_examples=100, deadline=None)
     def test_equality(self, pair):
@@ -244,7 +274,7 @@ class TestOneBlock:
 
     def test_slice_hash_cache_starts_empty(self):
         page = ColumnPage.from_rows([(i, "") for i in range(6)])
-        page.store_hashes(0, 0, "avalanche", np.arange(6), list(range(6)))
+        page.store_hashes(0, 0, "avalanche", np.arange(6))
         assert page.cached_hashes(0, 0, "avalanche") is not None
         assert page[1:4].cached_hashes(0, 0, "avalanche") is None
         assert page.cut(1, 4).cached_hashes(0, 0, "avalanche") is None

@@ -252,14 +252,104 @@ class TestProbeArenaThreshold:
         assert len(probe_keys) < 32
         cpu_scalar, out_scalar = self._probe(small, probe_keys)
         # Force the arena path for the same page by probing through
-        # _probe_page_arena directly.
+        # _probe_batch_arena directly.
         rows = [(k, f"outer{i}") for i, k in enumerate(probe_keys)]
         hashes = [hashing.hash_value(k) for k in probe_keys]
-        out_arena: list = []
-        cpu_arena = large._probe_page_arena(
-            rows, hashes, 0, 0, *self.COSTS, out_arena.append)
+        cpu_arena, out_arena = large._probe_batch_arena(
+            rows, hashes, 0, 0, *self.COSTS)
         assert out_arena == out_scalar
         assert repr(cpu_arena) == repr(cpu_scalar)
+
+
+class TestArenaProbeColumnPackets:
+    """Full-size columnar packets probed against the arena — duplicate
+    keys and hash collisions (hash = key mod 5) in the build — charge
+    the same CPU float and emit the same rows, in the same order, as
+    the scalar-chain probe of the same table."""
+
+    COSTS = TestProbeArenaThreshold.COSTS
+
+    @staticmethod
+    def _tables(build_keys, split):
+        from repro.catalog.pages import ColumnPage
+        rows = [(k, 100 + i) for i, k in enumerate(build_keys)]
+        hashes = [k % 5 for k in build_keys]
+        arena = JoinHashTable(len(rows))
+        for lo, hi in ((0, split), (split, len(rows))):
+            if lo < hi:
+                arena.insert_page(ColumnPage.from_rows(rows[lo:hi]),
+                                  hashes[lo:hi])
+        chains = JoinHashTable(len(rows))
+        chains.insert_page(rows, hashes)
+        assert arena._arena is not None and chains._arena is None
+        return arena, chains
+
+    @given(build_keys=st.lists(st.integers(0, 12), min_size=1,
+                               max_size=40),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_chain_probe(self, build_keys, data):
+        from repro.catalog.pages import ColumnPage
+        from repro.core.hash_table import PROBE_ARENA_MIN_ROWS
+        # A duplicate key and a colliding key guarantee a chain >= 2.
+        build_keys = build_keys + [build_keys[0], build_keys[0] + 5]
+        split = data.draw(st.integers(0, len(build_keys)))
+        arena, chains = self._tables(build_keys, split)
+        assert arena.max_chain >= 2
+        for packet in range(2):  # the second probe reuses the gather
+            probe_keys = data.draw(st.lists(
+                st.integers(0, 15), min_size=PROBE_ARENA_MIN_ROWS,
+                max_size=70))
+            rows = [(packet * 100 + i, k) for i, k in enumerate(probe_keys)]
+            hashes = [k % 5 for k in probe_keys]
+            out_arena: list = []
+            out_chains: list = []
+            cpu_arena = arena.probe_page(
+                ColumnPage.from_rows(rows), hashes, 1, 0, *self.COSTS,
+                out_arena.append)
+            cpu_chains = chains.probe_page(
+                rows, hashes, 1, 0, *self.COSTS, out_chains.append)
+            assert arena._arena is not None
+            assert arena.arena_probe_pages == packet + 1
+            assert chains.arena_probe_pages == 0
+            assert repr(cpu_arena) == repr(cpu_chains)
+            assert out_arena == out_chains
+            assert len(out_arena) == sum(build_keys.count(k)
+                                         for k in probe_keys)
+
+    def test_only_matched_rows_are_built(self, monkeypatch):
+        from repro.catalog.pages import ColumnPage
+        from repro.core.hash_table import PROBE_ARENA_MIN_ROWS
+        arena, _chains = self._tables([3, 8, 3], 1)
+        keys = [13] * PROBE_ARENA_MIN_ROWS
+        keys[5] = keys[20] = 3
+        hashes = [k % 5 for k in keys]
+        page = ColumnPage.from_rows([(i, k) for i, k in enumerate(keys)])
+        arena.probe_batch(page, hashes, 1, 0, *self.COSTS)  # warm gather
+        taken: list = []
+        iterated: list = []
+        take = ColumnPage.take
+        iterate = ColumnPage.__iter__
+
+        def counting_take(self, indices):
+            taken.append(list(indices))
+            return take(self, indices)
+
+        def counting_iter(self):
+            iterated.append(len(self))
+            return iterate(self)
+
+        def indexed(self, item):
+            raise AssertionError("packet row access via __getitem__")
+
+        monkeypatch.setattr(ColumnPage, "take", counting_take)
+        monkeypatch.setattr(ColumnPage, "__iter__", counting_iter)
+        monkeypatch.setattr(ColumnPage, "__getitem__", indexed)
+        _cpu, out = arena.probe_batch(page, hashes, 1, 0, *self.COSTS)
+        assert taken == [[5, 5, 20, 20]]
+        assert iterated == [4]
+        assert out == [(3, 100, 5, 3), (3, 102, 5, 3),
+                       (3, 100, 20, 3), (3, 102, 20, 3)]
 
 
 class TestProbePageColumnarPacket:

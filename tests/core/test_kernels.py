@@ -174,7 +174,7 @@ def test_route_plan_matches_scalar_packet_stream(
     vector = make_router(capacity)
     arr = np.asarray(hashes, dtype=np.uint64)
     groups = arr % np.uint64(n_groups)
-    plan = kernels.RoutePlan(vector, rows, hashes, groups, None,
+    plan = kernels.RoutePlan(vector, rows, arr, groups, None,
                              dst_of_group, bucket_of_group)
 
     pages = [rows[i:i + page_size]
@@ -339,7 +339,7 @@ def test_resolve_column_memoizes_per_relation():
     stored = [hashing.hash_value(7), hashing.hash_value(11)]
     col = kernels.resolve_column(machine, stored_rows, stored, 0, 0,
                                  "avalanche")
-    assert col is not None and col.ints == stored
+    assert col is not None and col.arr.tolist() == stored
     assert machine.key_hash_memo.hits == 2
     assert machine.key_hash_memo.misses == 1
     # Unvectorizable columns fall back (None), not crash.

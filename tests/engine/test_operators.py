@@ -1,6 +1,8 @@
 """Tests for Router, scan_pages, and tempfile_writer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.machine import GammaMachine
 from repro.engine.operators import (
@@ -92,6 +94,45 @@ class TestRouter:
             packets = [m for m in drain_all(machine, node, "p")
                        if isinstance(m, DataPacket)]
             assert sum(len(p) for p in packets) == 2
+
+    @given(n_consumers=st.integers(1, 9), capacity=st.integers(1, 12),
+           batches=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+           drain=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_round_robin_batch_matches_row_at_a_time(
+            self, n_consumers, capacity, batches, drain):
+        """Consecutive batches — each starting on the partial buffers
+        and rotation point the last one left — reproduce the row-at-a-
+        time router's state exactly."""
+        machine = GammaMachine.local(n_consumers)
+        src = machine.disk_nodes[0]
+        tuple_bytes = machine.costs.packet_size // capacity
+        single, batched = [
+            Router(machine, src, machine.disk_nodes, port, tuple_bytes)
+            for port in ("single", "batched")]
+        assert single.capacity == capacity
+        first = 0
+        for size in batches:
+            rows = [(first + i,) for i in range(size)]
+            first += size
+            for row in rows:
+                single.give_round_robin(row)
+            batched.give_round_robin_batch(rows)
+            assert batched._ready == single._ready
+            assert batched._buffers0 == single._buffers0
+            assert batched._rr_next == single._rr_next
+            assert batched.tuples_routed == single.tuples_routed
+            if drain:
+                single._ready.clear()
+                batched._ready.clear()
+
+    def test_round_robin_batch_after_close_rejected(self):
+        machine = GammaMachine.local(2)
+        router = Router(machine, machine.disk_nodes[0],
+                        machine.disk_nodes, "p", 208)
+        router.closed = True
+        with pytest.raises(RuntimeError, match="closed"):
+            router.give_round_robin_batch([("x",)])
 
     def test_give_after_close_rejected(self):
         machine = GammaMachine.local(2)
