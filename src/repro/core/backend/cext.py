@@ -1,11 +1,12 @@
 """The ``cext`` engine: the C mirrors in ``_kernels.c`` via cffi.
 
-The shared library is compiled once per interpreter-ABI-independent
-source hash with whatever C compiler the platform provides (``cc`` or
-``gcc``) and cached next to the package (override the location with
-``REPRO_CEXT_CACHE``).  cffi's ABI mode (``dlopen``) keeps the
-per-call overhead far below ctypes', which matters at the data plane's
-small-page granularity.
+The shared library is compiled once per source and flag hash with
+whatever C compiler the platform provides (``cc`` or ``gcc``) and
+cached next to the package (override the location with
+``REPRO_CEXT_CACHE``; :mod:`repro.cbuild` does the compile-and-cache
+for this engine and the event kernel alike).  cffi's ABI mode
+(``dlopen``) keeps the per-call overhead far below ctypes', which
+matters at the data plane's small-page granularity.
 
 :func:`load` returns the engine namespace or raises
 :class:`EngineUnavailable` with the concrete reason (no cffi, no C
@@ -16,15 +17,13 @@ re-raises it when the caller pinned ``activate("cext")``.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import types
 import typing
 
 import numpy as np
+
+from repro import cbuild
 
 Array = typing.Any
 
@@ -58,56 +57,16 @@ def _source_path() -> str:
     return os.path.join(os.path.dirname(__file__), "_kernels.c")
 
 
-def _cache_dir() -> str:
-    override = os.environ.get("REPRO_CEXT_CACHE", "").strip()
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "_cext_cache")
-
-
-def _build(source: str, cache: str, tag: str) -> str:
-    """Compile the shared library into the cache; returns its path."""
-    lib_path = os.path.join(cache, f"repro_kernels_{tag}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        raise EngineUnavailable("no C compiler (cc/gcc) on PATH")
-    os.makedirs(cache, exist_ok=True)
-    # Build into a temp name then rename: concurrent --jobs workers
-    # race to build the same tag, and rename() is atomic.
-    fd, tmp_path = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    cmd = [compiler, "-O2", "-shared", "-fPIC", source, "-o", tmp_path]
-    result = subprocess.run(cmd, capture_output=True, text=True)
-    if result.returncode != 0:
-        os.unlink(tmp_path)
-        raise EngineUnavailable(
-            f"C compile failed ({' '.join(cmd)}): "
-            f"{result.stderr.strip()[:500]}")
-    os.replace(tmp_path, lib_path)
-    return lib_path
-
-
 def load() -> types.SimpleNamespace:
     """Build/load the library and wrap it in the engine namespace."""
     try:
         import cffi
     except ImportError as exc:
         raise EngineUnavailable(f"cffi not importable: {exc}") from exc
-    source = _source_path()
     try:
-        with open(source, "rb") as fh:
-            tag = hashlib.sha256(fh.read()).hexdigest()[:16]
-    except OSError as exc:
-        raise EngineUnavailable(f"kernel source unreadable: {exc}") from exc
-    cache = _cache_dir()
-    try:
-        lib_path = _build(source, cache, tag)
-    except OSError as exc:
-        # An installed package's directory is often read-only.
-        raise EngineUnavailable(
-            f"cannot build into cache {cache}: {exc}") from exc
+        lib_path = cbuild.build(_source_path(), "repro_kernels", ["-O2"])
+    except cbuild.BuildUnavailable as exc:
+        raise EngineUnavailable(str(exc)) from exc
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections
 import typing
 
+from repro.catalog.pages import ColumnPage
 from repro.catalog.relation import Relation
 
 Row = typing.Tuple
@@ -42,6 +43,34 @@ def reference_join(outer: Relation, inner: Relation,
         for r_row in by_value.get(s_row[outer_key], ()):
             results.append(r_row + s_row)
     return results
+
+
+def reference_join_cardinality(outer: Relation, inner: Relation,
+                               outer_attribute: str,
+                               inner_attribute: str) -> int:
+    """``len(reference_join(outer, inner, outer_attribute,
+    inner_attribute))``, counted without building a row.
+
+    An equi-join yields ``count_outer(k) * count_inner(k)`` rows per
+    key ``k``, so one count of the inner keys and one pass over the
+    outer keys give the cardinality in memory proportional to the
+    inner relation's distinct keys.
+    """
+    inner_counts = collections.Counter(
+        _key_values(inner, inner.schema.index_of(inner_attribute)))
+    return sum(inner_counts.get(key, 0) for key in _key_values(
+        outer, outer.schema.index_of(outer_attribute)))
+
+
+def _key_values(relation: Relation, index: int
+                ) -> typing.Iterator[typing.Any]:
+    """One column's values in fragment order, a fragment at a time."""
+    for fragment in relation.fragments:
+        if isinstance(fragment, ColumnPage):
+            yield from fragment.column_values(index)
+        else:
+            for row in fragment:
+                yield row[index]
 
 
 def result_multiset(rows: typing.Iterable[Row]

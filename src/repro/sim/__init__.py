@@ -20,10 +20,15 @@ The kernel provides:
 Determinism: given the same inputs the simulation produces bit-identical
 event orders and final times.  Ties in time are broken first by event
 priority, then by scheduling order.
+
+The hot paths run compiled where the host has a C compiler and the
+Python headers, and as Python otherwise; :func:`activate` pins one
+(:mod:`repro.sim.kernel`).
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.kernel import KernelUnavailable, activate
 from repro.sim.process import Process, ProcessCrash
 from repro.sim.resources import Resource, Store
 
@@ -31,10 +36,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
+    "KernelUnavailable",
     "Process",
     "ProcessCrash",
     "Resource",
     "Simulator",
     "Store",
     "Timeout",
+    "activate",
 ]

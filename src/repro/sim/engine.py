@@ -53,6 +53,15 @@ chain survives as the public
 :meth:`~repro.sim.resources.Resource.request` /
 :meth:`~repro.sim.resources.Resource.release` idiom; the kernel tests
 hold ``use()`` to its clock and trace.
+
+Two kernels implement the hot paths: this module's Python code, and a
+compiled one (``_kernel.c``) that replaces the unbounded loop
+(:meth:`Simulator._drain`), ``Resource.use``, ``Store.get``/``put`` and
+``Process._resume`` with line-for-line C ports over the same slots.
+The host chooses, at the first :class:`Simulator`
+(:func:`repro.sim.kernel.activate`): the Python kernel runs where no C
+compiler or Python headers are found, and it is the oracle the tests
+hold the compiled one to.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ import gc
 import heapq
 import typing
 
+from repro.sim import kernel
 from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -94,7 +104,15 @@ class Simulator:
     [(1.0, 'a'), (2.0, 'b')]
     """
 
+    # Slots, so the compiled kernel reads and writes the very state
+    # this class does (repro.sim.kernel).
+    __slots__ = ("now", "_heap", "_urgent", "_sequence", "_event_serial",
+                 "_crashed", "_sole_callback", "events_fired",
+                 "fastpath_holds", "heap_peak", "sync_holds", "sync_gets")
+
     def __init__(self) -> None:
+        if kernel.active is None:
+            kernel.activate()
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
         #: FIFO lane for delay-0 URGENT events (see module docstring).
@@ -104,7 +122,6 @@ class Simulator:
         #: Event-creation serial counter (stable debug identity;
         #: see Event.__repr__).
         self._event_serial = 0
-        self._active_processes = 0
         self._crashed: list[Process] = []
         #: True while the inlined run() is not firing a multi-callback
         #: event: model code then runs only as the sole callback of the
@@ -188,6 +205,7 @@ class Simulator:
             "queued_events": self.queued_events,
             "sync_holds": self.sync_holds,
             "sync_gets": self.sync_gets,
+            "sim_engine": kernel.active,
         }
 
     # -- running -------------------------------------------------------------
@@ -246,28 +264,16 @@ class Simulator:
         ValueError
             If ``until`` lies before the current simulated time.
         """
+        if until is None:
+            self._drain()
+        else:
+            self._run_until(until)
+
+    def _drain(self) -> None:
+        """The unbounded run: fire events until the queue drains (the
+        compiled kernel replaces this method)."""
         heap = self._heap
         urgent = self._urgent
-        if until is not None:
-            if until < self.now:
-                raise ValueError(
-                    f"cannot run into the past: until={until!r} is "
-                    f"before now={self.now!r}")
-            # Held urgent events are re-keyed before the bound is
-            # checked, as step() would re-key them first: only then is
-            # the heap head the next event that can move the clock, so
-            # a bound between now and a hold's end stops the run
-            # before the hold fires.
-            while True:
-                while urgent:
-                    hold = urgent[0]._hold
-                    if hold is None:
-                        break
-                    self._rekey(urgent.popleft(), hold)
-                if not urgent and (not heap or heap[0][0] > until):
-                    self.now = until
-                    return
-                self.step()
         # Inlined pop/fire cycle — semantically identical to calling
         # step() in a loop, with the hot locals hoisted.
         #
@@ -348,6 +354,30 @@ class Simulator:
                 gc.enable()
             self.events_fired += events_fired
             self.fastpath_holds += holds
+
+    def _run_until(self, until: float) -> None:
+        """``run(until=…)``: a loop over :meth:`step` (both kernels)."""
+        if until < self.now:
+            raise ValueError(
+                f"cannot run into the past: until={until!r} is "
+                f"before now={self.now!r}")
+        heap = self._heap
+        urgent = self._urgent
+        # Held urgent events are re-keyed before the bound is checked,
+        # as step() would re-key them first: only then is the heap
+        # head the next event that can move the clock, so a bound
+        # between now and a hold's end stops the run before the hold
+        # fires.
+        while True:
+            while urgent:
+                hold = urgent[0]._hold
+                if hold is None:
+                    break
+                self._rekey(urgent.popleft(), hold)
+            if not urgent and (not heap or heap[0][0] > until):
+                self.now = until
+                return
+            self.step()
 
     @property
     def queued_events(self) -> int:

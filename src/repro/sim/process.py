@@ -41,7 +41,7 @@ class Process(Event):
     """A running simulated process (also an event: fires on completion)."""
 
     __slots__ = ("generator", "name", "crash_error", "_send",
-                 "_resume_cb")
+                 "_resume_cb", "__weakref__")
 
     def __init__(self, sim: "Simulator", generator: typing.Generator,
                  name: str | None = None) -> None:
@@ -91,13 +91,7 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - fail fast
-                del self._resume_cb
-                self.crash_error = ProcessCrash(self, exc)
-                self.crash_error.__cause__ = exc
-                self.sim._crashed.append(self)
-                # Still trigger so waiters do not hang forever; the
-                # simulator raises before any waiter observes this.
-                self.fail(self.crash_error)
+                self._crash(exc)
                 return
             try:
                 if target._fired:
@@ -110,14 +104,29 @@ class Process(Event):
                 target.callbacks.append(self._resume_cb)
                 return
             except AttributeError:
-                del self._resume_cb
-                error = TypeError(
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "may only yield Event instances")
-                self.crash_error = ProcessCrash(self, error)
-                self.sim._crashed.append(self)
-                self.fail(self.crash_error)
+                self._bad_yield(target)
                 return
+
+    def _crash(self, exc: BaseException) -> None:
+        """The generator raised ``exc``: record the crash, which
+        :meth:`Simulator.run` raises after this fire (fail fast)."""
+        del self._resume_cb
+        self.crash_error = ProcessCrash(self, exc)
+        self.crash_error.__cause__ = exc
+        self.sim._crashed.append(self)
+        # Still trigger so waiters do not hang forever; the simulator
+        # raises before any waiter observes this.
+        self.fail(self.crash_error)
+
+    def _bad_yield(self, target: typing.Any) -> None:
+        """The generator yielded ``target``, which is not an event."""
+        del self._resume_cb
+        error = TypeError(
+            f"process {self.name!r} yielded {target!r}; processes "
+            "may only yield Event instances")
+        self.crash_error = ProcessCrash(self, error)
+        self.sim._crashed.append(self)
+        self.fail(self.crash_error)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

@@ -53,6 +53,9 @@ class Resource:
     §5 of the paper does for local vs remote joins.
     """
 
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_waiting",
+                 "busy_time", "_last_change", "total_acquisitions")
+
     def __init__(self, sim: "Simulator", capacity: int = 1,
                  name: str = "resource") -> None:
         if capacity < 1:
@@ -283,6 +286,9 @@ class Resource:
 
 class Store:
     """Unbounded FIFO item queue (process mailbox)."""
+
+    __slots__ = ("sim", "name", "_items", "_getters", "total_puts",
+                 "total_gets")
 
     def __init__(self, sim: "Simulator", name: str = "store") -> None:
         self.sim = sim

@@ -26,7 +26,10 @@ from repro.catalog import (
     Relation,
     load_relation,
 )
-from repro.core.joins.reference import reference_join
+from repro.core.joins.reference import (
+    reference_join,
+    reference_join_cardinality,
+)
 from repro.wisconsin.generator import WisconsinGenerator
 
 Row = typing.Tuple
@@ -64,7 +67,12 @@ class WisconsinDatabase:
 
     @property
     def expected_result_tuples(self) -> int:
-        return len(self.expected_result_rows)
+        """The reference join's cardinality, counted per key (no row
+        of it is built; :attr:`expected_result_rows` is the row-level
+        oracle)."""
+        return reference_join_cardinality(
+            self.outer, self.inner, self.outer_attribute,
+            self.inner_attribute)
 
     def with_representation(self, columnar: bool) -> "WisconsinDatabase":
         """This database with both relations in the requested fragment

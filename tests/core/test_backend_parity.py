@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cbuild
 from repro.core import backend
 from repro.core.backend import cext, fallback
 
@@ -277,7 +278,7 @@ def test_cext_cache_env_override(tmp_path, monkeypatch):
     """REPRO_CEXT_CACHE redirects the .so cache (and a build there
     proves the from-scratch compile path when a compiler exists)."""
     monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
-    assert cext._cache_dir() == str(tmp_path)
+    assert cbuild.cache_dir() == str(tmp_path)
     try:
         engine = cext.load()
     except cext.EngineUnavailable:

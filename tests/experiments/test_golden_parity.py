@@ -18,7 +18,10 @@ relation storage (``REPRO_COLUMNAR`` — see ``repro.catalog.pages``)
 is a pure representation choice, so every figure runs under both
 representations.  The kernel backend's two engines (DESIGN.md §15)
 are bit-identical too: the cells run the engine the host picks, and
-figure 5 runs once more pinned to the numpy fallback.
+figure 5 runs once more pinned to the numpy fallback.  So are the two
+event kernels (DESIGN.md §7): the cells run the one the host picks
+(compiled where it builds), and figure 5 runs once more pinned to the
+Python kernel.
 
 Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
@@ -31,6 +34,7 @@ suite).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -40,6 +44,7 @@ import pytest
 from repro.core import backend
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
+from repro.sim import kernel as sim_kernel
 
 RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 CONFIG = ExperimentConfig(scale=0.1, seed=1)
@@ -116,6 +121,28 @@ def test_fallback_engine_bit_identical_to_golden(golden, monkeypatch,
     assert counts["be_fallback_calls"] > 0
     assert counts["be_compiled_calls"] == 0
     assert_golden(figure, golden["figure5"], "figure5, fallback engine")
+
+
+@pytest.fixture
+def python_kernel():
+    """Pin the Python event kernel, then let the host choose again."""
+    sim_kernel.activate("python")
+    yield
+    sim_kernel.activate()
+
+
+def test_python_kernel_bit_identical_to_golden(golden, monkeypatch,
+                                               python_kernel):
+    """The other cells run the event kernel the host picks (compiled
+    where it builds); this one holds the Python kernel to the same
+    anchor."""
+    monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
+    monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
+    figure = figures.figure5(dataclasses.replace(CONFIG, profile=True))
+    engines = {point.kernel_counters["sim_engine"]
+               for series in figure.series for point in series.points}
+    assert engines == {"python"}
+    assert_golden(figure, golden["figure5"], "figure5, Python kernel")
 
 
 def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:

@@ -275,8 +275,8 @@ serial_plan_strategy = st.lists(
     min_size=1, max_size=3)
 
 
-def test_every_run_loop_yields_the_step_loop_trace():
-    """A plain step() loop is the oracle.  The inlined run() with its
+def test_every_run_loop_yields_the_step_loop_trace(kernel):
+    """A plain step() loop is the oracle, under either kernel.  The inlined run() with its
     synchronous fast paths, the same run under ``REPRO_VERIFY=1`` and a
     bounded run in ten slices must reproduce its trace, clock, exact
     kernel counters and resource snapshots bit-for-bit; the in-order

@@ -4,6 +4,10 @@ import pytest
 
 from repro.sim import ProcessCrash, Simulator
 
+#: The compiled kernel here; test_python_kernel.py runs these tests
+#: again under the Python kernel.
+pytestmark = pytest.mark.usefixtures("kernel")
+
 
 class TestProcessBasics:
     def test_body_runs_at_time_zero(self, sim):
@@ -51,9 +55,23 @@ class TestProcessBasics:
         def body():
             yield 42
 
-        sim.process(body())
+        process = sim.process(body())
         with pytest.raises(ProcessCrash, match="may only yield Event"):
             sim.run()
+        assert isinstance(process.crash_error.cause, TypeError)
+        assert not hasattr(process, "_resume_cb")
+
+    def test_resume_callback_names_its_process(self, sim):
+        """The cached resume callback is bound to its process
+        (``tests/sim/tie_order.py`` labels events by its ``__self__``)
+        and is dropped when the generator finishes."""
+        def body():
+            yield sim.timeout(1.0)
+
+        process = sim.process(body())
+        assert process._resume_cb.__self__ is process
+        sim.run()
+        assert not hasattr(process, "_resume_cb")
 
     def test_waiting_on_already_fired_event_continues(self, sim):
         done = sim.timeout(0.5)
@@ -84,10 +102,31 @@ class TestCrashPropagation:
             yield sim.timeout(0.1)
             raise KeyError("missing")
 
-        sim.process(body())
+        process = sim.process(body())
         with pytest.raises(ProcessCrash) as info:
             sim.run()
         assert isinstance(info.value.cause, KeyError)
+        assert info.value.__cause__ is info.value.cause
+        assert info.value.process is process
+        assert process.crash_error is info.value
+        assert not process.ok and process.value is info.value
+
+    def test_failure_caught_then_return_succeeds(self, sim):
+        """A process that catches a thrown failure and returns
+        completes with its return value (StopIteration out of throw)."""
+        event = sim.event()
+        event.fail(RuntimeError("downstream"), delay=0.5)
+
+        def body():
+            try:
+                yield event
+            except RuntimeError:
+                return "recovered"
+
+        process = sim.process(body())
+        sim.run()
+        assert process.ok and process.value == "recovered"
+        assert sim.now == 0.5
 
     def test_failed_event_throws_into_waiter(self, sim):
         event = sim.event()

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 from repro.sim import Resource, Simulator, Store
 from tests.sim.classic import classic_use
 
+#: The compiled kernel here; test_python_kernel.py runs these tests
+#: again under the Python kernel.
+pytestmark = pytest.mark.usefixtures("kernel")
+
 
 class TestResourceMutualExclusion:
     def test_capacity_one_serialises(self, sim):
@@ -164,44 +168,51 @@ class TestResourceStatistics:
         sim.run()
         assert resource.utilisation() == 1.0
 
-    @given(jobs=st.lists(
-               st.tuples(st.integers(0, 12),   # arrival, in quarters
-                         st.integers(1, 6)),   # hold, in quarters
-               min_size=1, max_size=12),
-           capacity=st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_use_reads_like_the_classic_chain_mid_run(self, jobs,
-                                                     capacity):
-        """use() credits a hold's busy time when it is issued; a read
-        at any run(until=...) slice must equal the classic chain's
-        integral over what has elapsed, and must not move a later
-        read.  Quarter-second times keep every float exact."""
-        slices = [k / 4 for k in range(1, 4 * 5)]
+    def test_use_reads_like_the_classic_chain_mid_run(self):
+        check_use_reads_like_the_classic_chain_mid_run()
 
-        def reads(protocol, bounds, observe=True):
-            sim = Simulator()
-            resource = Resource(sim, capacity=capacity)
 
-            def worker(arrival, hold):
-                yield sim.timeout(arrival / 4)
-                yield from protocol(sim, resource, hold / 4)
+# Hypothesis properties the test classes call: a @given method cannot
+# be collected twice (test_python_kernel.py collects the classes again
+# under the Python kernel), a module-level function can.
 
-            for arrival, hold in jobs:
-                sim.process(worker(arrival, hold))
-            seen = []
-            for bound in bounds:
-                sim.run(until=bound)
-                if observe:
-                    seen += [resource.utilisation(), resource.utilisation()]
-            sim.run()
-            return seen + [resource.utilisation()]
+@given(jobs=st.lists(
+           st.tuples(st.integers(0, 12),   # arrival, in quarters
+                     st.integers(1, 6)),   # hold, in quarters
+           min_size=1, max_size=12),
+       capacity=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def check_use_reads_like_the_classic_chain_mid_run(jobs, capacity):
+    """use() credits a hold's busy time when it is issued; a read at
+    any run(until=...) slice must equal the classic chain's integral
+    over what has elapsed, and must not move a later read.
+    Quarter-second times keep every float exact."""
+    slices = [k / 4 for k in range(1, 4 * 5)]
 
-        def use(sim, resource, duration):
-            return resource.use(duration)
+    def reads(protocol, bounds, observe=True):
+        sim = Simulator()
+        resource = Resource(sim, capacity=capacity)
 
-        assert reads(use, slices) == reads(classic_use, slices)
-        assert reads(use, slices)[-1] == reads(use, slices,
-                                               observe=False)[-1]
+        def worker(arrival, hold):
+            yield sim.timeout(arrival / 4)
+            yield from protocol(sim, resource, hold / 4)
+
+        for arrival, hold in jobs:
+            sim.process(worker(arrival, hold))
+        seen = []
+        for bound in bounds:
+            sim.run(until=bound)
+            if observe:
+                seen += [resource.utilisation(), resource.utilisation()]
+        sim.run()
+        return seen + [resource.utilisation()]
+
+    def use(sim, resource, duration):
+        return resource.use(duration)
+
+    assert reads(use, slices) == reads(classic_use, slices)
+    assert reads(use, slices)[-1] == reads(use, slices,
+                                           observe=False)[-1]
 
 
 def run_kernel_workload(n_workers: int, n_ops: int,
@@ -306,32 +317,36 @@ class TestStore:
         sim.run()
         assert got == [("first", 1), ("second", 2)]
 
-    @given(items=st.lists(st.integers(), max_size=60),
-           consumers=st.integers(min_value=1, max_value=7))
-    @settings(max_examples=60, deadline=None)
-    def test_no_loss_no_duplication(self, items, consumers):
-        """Every put item is delivered exactly once, in FIFO order per
-        the interleaving of getters."""
-        sim = Simulator()
-        store = Store(sim)
-        received = []
+    def test_no_loss_no_duplication(self):
+        check_no_loss_no_duplication()
 
-        def consumer():
-            while True:
-                received.append((yield store.get()))
 
-        for _ in range(consumers):
-            sim.process(consumer())
+@given(items=st.lists(st.integers(), max_size=60),
+       consumers=st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def check_no_loss_no_duplication(items, consumers):
+    """Every put item is delivered exactly once, in FIFO order per the
+    interleaving of getters."""
+    sim = Simulator()
+    store = Store(sim)
+    received = []
 
-        def producer():
-            for item in items:
-                store.put(item)
-                yield sim.timeout(0.001)
+    def consumer():
+        while True:
+            received.append((yield store.get()))
 
-        sim.process(producer())
-        sim.run(until=10.0)
-        assert received == list(items)
-        assert store.pending_items == 0
+    for _ in range(consumers):
+        sim.process(consumer())
+
+    def producer():
+        for item in items:
+            store.put(item)
+            yield sim.timeout(0.001)
+
+    sim.process(producer())
+    sim.run(until=10.0)
+    assert received == list(items)
+    assert store.pending_items == 0
 
 
 @given(

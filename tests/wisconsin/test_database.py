@@ -1,11 +1,17 @@
 """Tests for the prebuilt benchmark databases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.catalog import Attribute, Schema, load_relation
 from repro.catalog.partitioning import (
     HashPartitioning,
     RangeKeyPartitioning,
 )
+from repro.catalog.relation import Relation
+from repro.core.joins import reference
+from repro.wisconsin import database
 from repro.wisconsin.database import (
     SKEW_KINDS,
     WisconsinDatabase,
@@ -96,3 +102,54 @@ class TestSkewedDatabase:
         for kind in SKEW_KINDS:
             db = WisconsinDatabase.skewed(2, kind, scale=0.02, seed=1)
             assert db.inner.cardinality > 0
+
+
+class TestReferenceCardinality:
+    """``expected_result_tuples`` counts the reference join per key;
+    ``expected_result_rows`` builds it.  The two must agree."""
+
+    SCHEMA = Schema([Attribute.integer("k"), Attribute.integer("payload")],
+                    name="keys")
+
+    def relation(self, name, keys, columnar):
+        rows = [(key, index) for index, key in enumerate(keys)]
+        relation = load_relation(name, self.SCHEMA, rows,
+                                 HashPartitioning("payload"), 3)
+        return relation.with_representation(columnar)
+
+    # Small key domains make duplicate keys on both sides common;
+    # disjoint ranges (outer >= 40) make empty joins common.
+    @given(outer_keys=st.lists(st.integers(0, 50), max_size=60),
+           inner_keys=st.lists(st.integers(0, 12), max_size=30),
+           columnar=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_count_equals_the_built_join(self, outer_keys, inner_keys,
+                                         columnar):
+        outer = self.relation("S", outer_keys, columnar)
+        inner = self.relation("R", inner_keys, columnar)
+        built = reference.reference_join(outer, inner, "k", "k")
+        assert reference.reference_join_cardinality(
+            outer, inner, "k", "k") == len(built)
+
+    def test_no_matches_count_zero(self):
+        outer = self.relation("S", [1, 2, 3], columnar=True)
+        inner = self.relation("R", [7, 8], columnar=False)
+        assert reference.reference_join_cardinality(
+            outer, inner, "k", "k") == 0
+
+    @pytest.mark.parametrize("kind", SKEW_KINDS)
+    def test_skewed_kinds(self, kind):
+        db = WisconsinDatabase.skewed(4, kind, scale=0.02, seed=5)
+        assert db.expected_result_tuples == len(db.expected_result_rows)
+
+    def test_count_builds_no_rows(self, monkeypatch):
+        db = WisconsinDatabase.skewed(4, "NN", scale=0.02, seed=5)
+        want = len(db.expected_result_rows)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the count built rows")
+
+        monkeypatch.setattr(database, "reference_join", forbidden)
+        monkeypatch.setattr(reference, "reference_join", forbidden)
+        monkeypatch.setattr(Relation, "all_rows", forbidden)
+        assert db.expected_result_tuples == want
