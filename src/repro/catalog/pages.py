@@ -1,4 +1,4 @@
-"""Columnar relation pages (the ``REPRO_COLUMNAR`` representation).
+"""Columnar relation pages: how relations are stored.
 
 A :class:`ColumnPage` stores a batch of tuples column-wise — every
 ``int64`` attribute as one row of a single ``(k, n)`` numpy matrix, a
@@ -19,15 +19,15 @@ a join-key hash-column cache keyed by ``(key_index, level, family)``
 ``hashing.KeyHashMemo``, with the advantage that the cache travels
 with the data through routing, spooling, and temp files.
 
-``REPRO_COLUMNAR=0`` restores tuple-list fragments end-to-end; the
-generator, loader, and storage layers all consult
-:func:`columnar_enabled` through a single code path.
+The Wisconsin generator fills pages directly (unless asked for
+materialized strings); tuple lists remain only where a caller hands
+them in (``load_relation`` given a list, join result fragments, the
+scalar fallback), and every consumer accepts either.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import typing
 
 import numpy as np
@@ -35,12 +35,6 @@ import numpy as np
 Row = typing.Tuple
 #: numpy arrays are opaque to the type checker (no bundled stubs).
 Array = typing.Any
-
-
-def columnar_enabled() -> bool:
-    """Is the columnar relation representation on?  ``REPRO_COLUMNAR``
-    defaults to on; ``=0`` restores tuple-list fragments."""
-    return os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 
 class ConstColumn:
@@ -176,7 +170,7 @@ class ColumnPage:
     @classmethod
     def from_rows(cls, rows: typing.Sequence[Row],
                   width: int | None = None) -> "ColumnPage":
-        """Columnarize a tuple list (tests, conversion fallbacks)."""
+        """Columnarize a tuple list (how tests build a page of given rows)."""
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return cls.from_columns([[] for _ in range(width or 0)], n=0)

@@ -1,7 +1,7 @@
 """Horizontally partitioned relations.
 
 A :class:`Relation` is the catalog's view of a stored table: a schema,
-one tuple-list fragment per disk site, and the partitioning descriptor
+one fragment per disk site, and the partitioning descriptor
 it was loaded with.  Fragment ``i`` lives on disk node ``i`` of the
 machine the relation is loaded for (Gamma partitions every relation
 across *all* disks — §2.2).
@@ -33,9 +33,9 @@ class Relation:
             raise ValueError(f"relation {name!r} needs >= 1 fragment")
         self.name = name
         self.schema = schema
-        #: Tuple-list fragments, or ColumnPage fragments when the
-        #: relation was loaded under ``REPRO_COLUMNAR`` (same row
-        #: values and order either way).
+        #: ColumnPage fragments when the rows were loaded from a page
+        #: (every generated relation), else tuple lists; consumers
+        #: accept either.
         self.fragments: list[typing.Sequence[Row]] = [
             f if isinstance(f, ColumnPage) else list(f)
             for f in fragments]
@@ -92,32 +92,6 @@ class Relation:
         """Every tuple, fragment order (for verification, not for the
         simulated data path)."""
         return list(self.iter_rows())
-
-    def with_representation(self, columnar: bool) -> "Relation":
-        """This relation with columnar (or tuple-list) fragments.
-
-        Returns ``self`` when the fragments are already in the
-        requested representation; otherwise a new catalog object over
-        converted fragments — same rows, same order, same schema and
-        partitioning.  Differential harnesses use this to run one
-        generated database through both ``REPRO_COLUMNAR`` planes.
-        """
-        converted: list[typing.Sequence[Row]] = []
-        changed = False
-        for fragment in self.fragments:
-            if columnar and not isinstance(fragment, ColumnPage):
-                converted.append(ColumnPage.from_rows(
-                    fragment, width=len(self.schema.attributes)))
-                changed = True
-            elif not columnar and isinstance(fragment, ColumnPage):
-                converted.append(list(fragment))
-                changed = True
-            else:
-                converted.append(fragment)
-        if not changed:
-            return self
-        return Relation(self.name, self.schema, converted,
-                        partitioning=self.partitioning)
 
     def attribute_index(self, attribute: str) -> int:
         return self.schema.index_of(attribute)

@@ -18,6 +18,7 @@ a miss, and only then are the Python headers looked up.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.machinery
 import os
@@ -48,7 +49,8 @@ def build(source: str, stem: str, flags: typing.Sequence[str],
     extension module), looked up only when the compiler has to run.
     Raises :class:`BuildUnavailable` naming the reason: an unreadable
     source, no C compiler, no ``Python.h``, a cache that cannot be
-    written, or a failed compile.
+    written, a compiler that cannot be run, or a failed compile; a
+    failed build leaves no temporary file in the cache.
     """
     # The interpreter's extension suffix (``EXT_SUFFIX``), read without
     # initialising sysconfig: a cached build's lookup stays one stat.
@@ -85,15 +87,22 @@ def build(source: str, stem: str, flags: typing.Sequence[str],
             f"cannot build into cache {cache}: {exc}") from exc
     os.close(fd)
     command += [source, "-o", tmp_path]
+    built = False
     try:
         result = subprocess.run(command, capture_output=True, text=True)
         if result.returncode == 0:
             os.replace(tmp_path, path)
+            built = True
             return path
-        os.unlink(tmp_path)
     except OSError as exc:
+        # The compiler could not be executed, or the build could not
+        # be renamed into place.
         raise BuildUnavailable(
-            f"cannot build into cache {cache}: {exc}") from exc
+            f"cannot build ({' '.join(command)}): {exc}") from exc
+    finally:
+        if not built:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
     raise BuildUnavailable(
         f"C compile failed ({' '.join(command)}): "
         f"{result.stderr.strip()[:500]}")

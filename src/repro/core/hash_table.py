@@ -91,7 +91,7 @@ class JoinHashTable:
         self.cutoff: int | None = None
         self._histogram = [0] * HISTOGRAM_BINS
         # Columnar arena: while every insert arrives as a whole
-        # ColumnPage batch (the REPRO_COLUMNAR fast path), the batches
+        # ColumnPage batch (the page data plane), the batches
         # are accumulated as-is — no per-tuple chains — and probing
         # runs against a lazily built sorted index.  The first scalar
         # operation (insert / make_room / probe / resident_rows)

@@ -26,8 +26,8 @@ class PagedFile:
     """An append-only tuple file with page accounting.
 
     Storage is dual-mode: while every batch arriving is a
-    :class:`~repro.catalog.pages.ColumnPage` (the ``REPRO_COLUMNAR``
-    data plane), the file accumulates the page batches as-is and
+    :class:`~repro.catalog.pages.ColumnPage` (the page data plane),
+    the file accumulates the page batches as-is and
     :attr:`rows` exposes their cached concatenation — a zero-copy-read
     columnar view whose hash-column cache persists across phases.  The
     first scalar ``append`` or tuple-list ``extend`` converts the file

@@ -74,16 +74,6 @@ class WisconsinDatabase:
             self.outer, self.inner, self.outer_attribute,
             self.inner_attribute)
 
-    def with_representation(self, columnar: bool) -> "WisconsinDatabase":
-        """This database with both relations in the requested fragment
-        representation (see :meth:`Relation.with_representation`);
-        ``self`` when nothing needs converting."""
-        outer = self.outer.with_representation(columnar)
-        inner = self.inner.with_representation(columnar)
-        if outer is self.outer and inner is self.inner:
-            return self
-        return dataclasses.replace(self, outer=outer, inner=inner)
-
     # -- constructors --------------------------------------------------------
 
     @classmethod

@@ -40,7 +40,7 @@ import typing
 
 import numpy as np
 
-from repro.catalog.pages import ColumnPage, ConstColumn, columnar_enabled
+from repro.catalog.pages import ColumnPage, ConstColumn
 from repro.catalog.schema import Attribute, Schema
 from repro.wisconsin.distributions import (normal_attribute_array,
                                            normal_attribute_values)
@@ -102,10 +102,9 @@ class WisconsinGenerator:
                       ) -> typing.Sequence[Row]:
         """Generate ``n`` benchmark tuples.
 
-        Returns a :class:`~repro.catalog.pages.ColumnPage` when the
-        columnar representation is on (``REPRO_COLUMNAR``, default)
-        and strings are not materialized, else a list of tuples; both
-        hold bit-identical values and support the same row access.
+        Returns a :class:`~repro.catalog.pages.ColumnPage`, or a list
+        of tuples when strings are materialized; both hold the same
+        integer values and support the same row access.
 
         Parameters
         ----------
@@ -128,12 +127,12 @@ class WisconsinGenerator:
                                   else 1.0)
         stddev = max(stddev, 1.0)
         unique1 = self._rng.permutation(n)
-        if columnar_enabled() and not self.materialize_strings:
+        if not self.materialize_strings:
             # The page's column matrix filled straight from the
             # generator — no tuple list and no second copy of the
-            # relation is ever built.  Every value is bit-identical to
-            # the scalar loop below: the modulo arithmetic is over the
-            # same non-negative int64 values, and the normal column
+            # relation is ever built.  Every integer is bit-identical
+            # to the scalar loop below: the modulo arithmetic is over
+            # the same non-negative int64 values, and the normal column
             # shares one rng.normal draw with the list variant.
             block = np.empty((13, n), dtype=np.int64)
             block[12] = normal_attribute_array(
@@ -155,17 +154,14 @@ class WisconsinGenerator:
         for unique2 in range(n):
             u1 = int(unique1[unique2])
             one_percent = u1 % 100
-            if self.materialize_strings:
-                strings = (_unique_string(u1), _unique_string(unique2),
-                           _STRING4_PATTERNS[unique2 % 4].ljust(
-                               WISCONSIN_STRING_WIDTH, "x"))
-            else:
-                strings = ("", "", "")
             rows.append((
                 u1, unique2, u1 % 2, u1 % 4, u1 % 10, u1 % 20,
                 one_percent, u1 % 10, u1 % 5, u1 % 2, u1,
                 one_percent * 2, normal_values[unique2],
-            ) + strings)
+                _unique_string(u1), _unique_string(unique2),
+                _STRING4_PATTERNS[unique2 % 4].ljust(
+                    WISCONSIN_STRING_WIDTH, "x"),
+            ))
         return rows
 
     def sample_rows(self, rows: typing.Sequence[Row], k: int

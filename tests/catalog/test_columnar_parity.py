@@ -1,14 +1,17 @@
-"""Columnar ≡ tuple-list parity properties (``REPRO_COLUMNAR``).
+"""Column page ≡ tuple-list parity properties.
 
-The columnar relation storage (``repro.catalog.pages``) promises to be
-a pure representation change: every row value, every routing decision,
-and every simulated number must match the tuple-list plane bit for
-bit.  These hypothesis properties pin that promise at each stage of
-the data path:
+Relations are stored as :class:`~repro.catalog.pages.ColumnPage`
+fragments, but tuple lists still reach the data path wherever a caller
+produces them (``load_relation`` given a list, join result fragments
+via ``JoinResult.as_relation``, the scalar fallback).  Every row
+value, every routing decision and every simulated number must be the
+same for both.  These hypothesis properties pin that promise at each
+stage of the data path:
 
-* generator output — :meth:`WisconsinGenerator.relation_rows` /
-  ``sample_rows`` produce identical rows in identical order under
-  either representation;
+* generator output — the default :meth:`WisconsinGenerator.relation_rows`
+  page fill agrees with the scalar row loop kept for materialized
+  strings (the oracle for the numpy block fill) on every integer
+  attribute, and ``sample_rows`` picks the same rows from either;
 * split-table routing — vectorized ``sites_of`` page routing and the
   scalar per-row ``site_of`` loop place every tuple on the same site,
   so ``load_relation`` builds identical fragments;
@@ -18,10 +21,6 @@ the data path:
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
-import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,36 +46,29 @@ SCHEMA = Schema([Attribute.integer("k"), Attribute.integer("payload")],
 key_lists = st.lists(st.integers(min_value=0, max_value=60),
                      max_size=80)
 
-
-@contextlib.contextmanager
-def columnar_env(flag: str) -> typing.Iterator[None]:
-    saved = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = flag
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = saved
+#: Tuple positions of the thirteen Wisconsin integer attributes.
+INTEGERS = slice(0, 13)
 
 
 # --------------------------------------------------------------------------
 # Generator output
 # --------------------------------------------------------------------------
 
+def _integers(rows) -> list[tuple]:
+    return [tuple(row[INTEGERS]) for row in rows]
+
+
 class TestGeneratorParity:
     @given(n=st.integers(min_value=1, max_value=250),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_relation_rows_identical(self, n, seed):
-        with columnar_env("1"):
-            page = WisconsinGenerator(seed=seed).relation_rows(n)
-        with columnar_env("0"):
-            rows = WisconsinGenerator(seed=seed).relation_rows(n)
+        page = WisconsinGenerator(seed=seed).relation_rows(n)
+        rows = WisconsinGenerator(
+            seed=seed, materialize_strings=True).relation_rows(n)
         assert isinstance(page, ColumnPage)
         assert not isinstance(rows, ColumnPage)
-        assert list(page) == list(rows)
+        assert _integers(page) == _integers(rows)
 
     @given(n=st.integers(min_value=1, max_value=200),
            fraction=st.floats(min_value=0.0, max_value=1.0),
@@ -84,14 +76,12 @@ class TestGeneratorParity:
     @settings(max_examples=15, deadline=None)
     def test_sample_rows_identical(self, n, fraction, seed):
         k = max(1, round(n * fraction))
-        with columnar_env("1"):
-            gen = WisconsinGenerator(seed=seed)
-            page = gen.sample_rows(gen.relation_rows(n), k)
-        with columnar_env("0"):
-            gen = WisconsinGenerator(seed=seed)
-            rows = gen.sample_rows(gen.relation_rows(n), k)
+        gen = WisconsinGenerator(seed=seed)
+        page = gen.sample_rows(gen.relation_rows(n), k)
+        gen = WisconsinGenerator(seed=seed, materialize_strings=True)
+        rows = gen.sample_rows(gen.relation_rows(n), k)
         assert isinstance(page, ColumnPage)
-        assert list(page) == list(rows)
+        assert _integers(page) == _integers(rows)
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +136,10 @@ class TestRoutingParity:
 # The four join algorithms
 # --------------------------------------------------------------------------
 
-def _build(name, keys, num_sites):
+def _build(name, keys, num_sites, columnar):
     rows = [(key, index) for index, key in enumerate(keys)]
-    return load_relation(name, SCHEMA, rows, HashPartitioning("k"),
+    source = ColumnPage.from_rows(rows, width=2) if columnar else rows
+    return load_relation(name, SCHEMA, source, HashPartitioning("k"),
                          num_sites)
 
 
@@ -170,14 +161,12 @@ class TestJoinParity:
     def test_cardinality_and_time_identical(self, algorithm,
                                             inner_keys, outer_keys,
                                             memory_ratio):
-        inner = _build("R", inner_keys, 3)
-        outer = _build("S", outer_keys, 3)
         representations = {}
-        for label, flag in (("tuple", False), ("columnar", True)):
+        for label, columnar in (("tuple", False), ("columnar", True)):
+            inner = _build("R", inner_keys, 3, columnar)
+            outer = _build("S", outer_keys, 3, columnar)
             try:
-                result = _run(outer.with_representation(flag),
-                              inner.with_representation(flag),
-                              algorithm, memory_ratio)
+                result = _run(outer, inner, algorithm, memory_ratio)
             except JoinOverflowError:
                 representations[label] = None
             else:

@@ -13,6 +13,7 @@ On hosts where ``cext`` does not load, the parity class skips and the
 dispatcher and degrade tests still run.
 """
 
+import errno
 import os
 import shutil
 import sys
@@ -287,3 +288,25 @@ def test_cext_cache_env_override(tmp_path, monkeypatch):
     codes = np.arange(16, dtype=np.uint64)
     assert_same(fallback.filter_slots(codes, 64),
                 engine.filter_slots(codes, 64), "filter_slots")
+
+
+def test_build_cleans_up_when_the_compiler_cannot_run(tmp_path,
+                                                      monkeypatch):
+    """A compiler that cannot be executed leaves no temporary file in
+    the cache, and the error names the compiler command."""
+    source = tmp_path / "empty.c"
+    source.write_text("int repro_empty(void) { return 0; }\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("REPRO_CEXT_CACHE", str(cache))
+    monkeypatch.setattr(shutil, "which", lambda name: "/usr/bin/cc")
+
+    def unrunnable(command, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied",
+                              command[0])
+
+    monkeypatch.setattr(cbuild.subprocess, "run", unrunnable)
+    with pytest.raises(cbuild.BuildUnavailable,
+                       match="/usr/bin/cc -O2 -shared"):
+        cbuild.build(str(source), "empty", ["-O2"])
+    assert os.listdir(cache) == []

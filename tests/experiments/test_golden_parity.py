@@ -13,17 +13,19 @@ implementation produced.  Two independent anchors enforce that:
   precision.
 
 The vectorized page-batch data plane (see ``repro.core.kernels``)
-makes the same promise against the same anchors.  The columnar
-relation storage (``REPRO_COLUMNAR`` — see ``repro.catalog.pages``)
-is a pure representation choice, so every figure runs under both
-representations.  The kernel backend's two engines (DESIGN.md §15)
-are bit-identical too: the cells run the engine the host picks, and
-figure 5 runs once more pinned to the numpy fallback.  So are the two
-event kernels (DESIGN.md §7): the cells run the one the host picks
-(compiled where it builds), and figure 5 runs once more pinned to the
-Python kernel.
+and the column-page relation storage (``repro.catalog.pages``) make
+the same promise against the same anchors.  Each figure runs twice:
+on the generator's column pages (cell ``-1``) and on the same rows
+loaded as tuple lists (cell ``-0``), the fragments ``load_relation``
+keeps when handed a list and ``JoinResult.as_relation`` produces, so
+the scalar row path stays anchored to the whole figure too.
+The kernel backend's two engines (DESIGN.md §15) are bit-identical
+too: the cells run the engine the host picks, and figure 5 runs once
+more pinned to the numpy fallback.  So are the two event kernels
+(DESIGN.md §7): the cells run the one the host picks (compiled where
+it builds), and figure 5 runs once more pinned to the Python kernel.
 
-Every combination runs with ``REPRO_PROFILE=gamma-1989`` and
+Every cell runs with ``REPRO_PROFILE=gamma-1989`` and
 ``REPRO_TOPOLOGY=token-ring`` pinned *explicitly*: the hardware
 profile registry and pluggable interconnects (DESIGN.md §14) must
 resolve those names to the exact cost model and transport the seed
@@ -42,38 +44,57 @@ import re
 import pytest
 
 from repro.core import backend
-from repro.experiments import figures
+from repro.experiments import figures, runner
 from repro.experiments.config import ExperimentConfig
 from repro.sim import kernel as sim_kernel
+from repro.wisconsin.generator import WisconsinGenerator
 
 RESULTS = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
 CONFIG = ExperimentConfig(scale=0.1, seed=1)
 
-#: (figure, REPRO_COLUMNAR) combinations under test.
+#: (figure, fragments) cells: ``"1"`` column pages, ``"0"`` tuple lists.
 SCENARIOS = [
-    (name, columnar)
+    (name, pages)
     for name in ("figure5", "figure7", "figure14")
-    for columnar in ("1", "0")
+    for pages in ("1", "0")
 ]
 
 
 def scenario_ids(scenarios: list[tuple[str, str]]) -> list[str]:
-    """``figure-1-1-columnar``: the two middle positions once named
-    kernel and data-plane modes that are now the only ones, and stay
-    so each cell keeps its id."""
-    return [f"{name}-1-1-{columnar}" for name, columnar in scenarios]
+    """``figure5-1-1-0``: the two middle positions once named kernel
+    and data-plane modes that are now the only ones, and stay so each
+    cell keeps its id; the last names the fragment representation."""
+    return [f"{name}-1-1-{pages}" for name, pages in scenarios]
 
 
 _CACHE: dict = {}
 
 
-def sweep(name: str, columnar: str, monkeypatch) -> figures.Figure:
-    key = (name, columnar)
+def as_tuple_lists(monkeypatch) -> None:
+    """Make every generated relation a tuple list (same rows, same
+    order) on a database cache of its own for this cell."""
+    relation_rows = WisconsinGenerator.relation_rows
+
+    def listed(self, *args, **kwargs):
+        return list(relation_rows(self, *args, **kwargs))
+
+    monkeypatch.setattr(WisconsinGenerator, "relation_rows", listed)
+    monkeypatch.setattr(runner, "_DB_CACHE", {})
+
+
+def sweep(name: str, pages: str, monkeypatch) -> figures.Figure:
+    key = (name, pages)
     if key not in _CACHE:
         monkeypatch.setenv("REPRO_PROFILE", "gamma-1989")
         monkeypatch.setenv("REPRO_TOPOLOGY", "token-ring")
-        monkeypatch.setenv("REPRO_COLUMNAR", columnar)
+        if pages == "0":
+            as_tuple_lists(monkeypatch)
         _CACHE[key] = getattr(figures, name)(CONFIG)
+        if pages == "0":
+            fragments = [fragment for db in runner._DB_CACHE.values()
+                         for relation in (db.outer, db.inner)
+                         for fragment in relation.fragments]
+            assert fragments and all(type(f) is list for f in fragments)
     return _CACHE[key]
 
 
@@ -93,12 +114,12 @@ def assert_golden(figure: figures.Figure, expected: dict, how: str) -> None:
                 f"{series.label} diverged at x={point.x} ({how})")
 
 
-@pytest.mark.parametrize("name,columnar", SCENARIOS,
+@pytest.mark.parametrize("name,pages", SCENARIOS,
                          ids=scenario_ids(SCENARIOS))
-def test_bit_identical_to_golden(name, columnar, golden, monkeypatch):
-    figure = sweep(name, columnar, monkeypatch)
-    assert_golden(figure, golden[name],
-                  f"{name}, REPRO_COLUMNAR={columnar}")
+def test_bit_identical_to_golden(name, pages, golden, monkeypatch):
+    figure = sweep(name, pages, monkeypatch)
+    how = "column pages" if pages == "1" else "tuple lists"
+    assert_golden(figure, golden[name], f"{name}, {how}")
 
 
 @pytest.fixture
@@ -168,13 +189,14 @@ def _parse_rendered(path: pathlib.Path) -> dict[str, list[float]]:
     return rows
 
 
-RENDERED = [s for s in SCENARIOS if s[0] != "figure14"]
+RENDERED = [(name, pages) for name, pages in SCENARIOS
+            if name in ("figure5", "figure7")]
 
 
-@pytest.mark.parametrize("name,columnar", RENDERED,
+@pytest.mark.parametrize("name,pages", RENDERED,
                          ids=scenario_ids(RENDERED))
-def test_matches_rendered_report(name, columnar, monkeypatch):
-    figure = sweep(name, columnar, monkeypatch)
+def test_matches_rendered_report(name, pages, monkeypatch):
+    figure = sweep(name, pages, monkeypatch)
     stored = _parse_rendered(RESULTS / f"{name}.txt")
     for series in figure.series:
         row = stored[series.label]

@@ -179,7 +179,6 @@ class TestParallelSweep:
         run_sweep_points(dataclasses.replace(CONFIG, jobs=2),
                          self.JOBS[:2])
         key = (CONFIG.num_disk_nodes, CONFIG.scale, CONFIG.seed, True,
-               runner_module.columnar_enabled(),
                runner_module.resolve_profile_name(None),
                runner_module.resolve_topology_name(None))
         assert key in runner_module._DB_CACHE

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Attribute, Schema, load_relation
+from repro.catalog.pages import ColumnPage
 from repro.catalog.partitioning import (
     HashPartitioning,
     RangeKeyPartitioning,
@@ -113,9 +114,9 @@ class TestReferenceCardinality:
 
     def relation(self, name, keys, columnar):
         rows = [(key, index) for index, key in enumerate(keys)]
-        relation = load_relation(name, self.SCHEMA, rows,
-                                 HashPartitioning("payload"), 3)
-        return relation.with_representation(columnar)
+        source = ColumnPage.from_rows(rows, width=2) if columnar else rows
+        return load_relation(name, self.SCHEMA, source,
+                             HashPartitioning("payload"), 3)
 
     # Small key domains make duplicate keys on both sides common;
     # disjoint ranges (outer >= 40) make empty joins common.
