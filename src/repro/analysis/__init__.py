@@ -7,11 +7,11 @@ randomness, hash/iteration order, or heap tie-breaks.  This package
 enforces that mechanically with a static **simulation-purity linter**
 (:mod:`repro.analysis.lint`, run as ``python -m repro.analysis.lint``)
 whose AST rules ban the hazard patterns outright (see
-:mod:`repro.analysis.rules` for the REPRO001… catalog), and a
-whole-program effect analyzer (:mod:`repro.analysis.effects`).  How
-much the simulated times rest on the heap's insertion-order tie-break
-is measured by a test, not at run time: ``tests/sim/test_tie_order.py``
-runs the paper figures with same-instant ties fired in reversed order.
+:mod:`repro.analysis.rules` for the REPRO001… catalog).  How much the
+simulated times rest on the heap's insertion-order tie-break is
+measured by a test, not at run time: ``tests/sim/test_tie_order.py``
+runs figures 5, 7 and 14 with same-instant ties fired in reversed
+order and holds every cell within 0.2 % of its golden.
 
 DESIGN.md §8 catalogs the invariants the suite protects.
 """

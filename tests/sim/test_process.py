@@ -62,9 +62,9 @@ class TestProcessBasics:
         assert not hasattr(process, "_resume_cb")
 
     def test_resume_callback_names_its_process(self, sim):
-        """The cached resume callback is bound to its process
-        (``tests/sim/tie_order.py`` labels events by its ``__self__``)
-        and is dropped when the generator finishes."""
+        """The cached resume callback is bound to its process (the
+        compiled run loop takes the process from its ``__self__`` to
+        resume it inline) and is dropped when the generator finishes."""
         def body():
             yield sim.timeout(1.0)
 

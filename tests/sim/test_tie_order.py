@@ -9,7 +9,6 @@ paper's shapes: figures 5, 7 and 14 at scale 0.1 stay within
 the goldens do.  The tests after those pin ``tie_order.drive`` itself.
 """
 
-import collections
 import json
 import pathlib
 
@@ -19,7 +18,7 @@ from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.sim import Simulator
 from repro.sim.resources import Resource
-from tests.sim.tie_order import drive, event_label, normalise
+from tests.sim.tie_order import drive
 
 GOLDEN = (pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
           / "golden_scale0.1.json")
@@ -157,7 +156,7 @@ def test_reverse_mode_drains_urgent_holds_without_firing_heap():
 
 
 def test_recording_preserves_fire_order_and_times():
-    """The in-order drive, counting ties, fires what run() fires."""
+    """The in-order drive fires what run() fires."""
     def trace(driver):
         sim = Simulator()
         cpu = Resource(sim, capacity=1, name="cpu-0")
@@ -176,93 +175,47 @@ def test_recording_preserves_fire_order_and_times():
         driver(sim)
         return log, sim.now, sim.events_fired, sim.fastpath_holds
 
-    ties = collections.Counter()
-    assert trace(Simulator.run) == trace(lambda sim: drive(sim, ties=ties))
-    assert ties
+    assert trace(Simulator.run) == trace(drive)
 
 
-def count_ties(build, reverse=False):
-    sim = Simulator()
-    build(sim)
-    ties = collections.Counter()
-    drive(sim, reverse=reverse, ties=ties)
-    return ties
+def logged_event(sim, log, name, delay, then=None):
+    """A plain event at ``delay`` that logs ``(now, name)`` and calls
+    ``then`` when it fires."""
+    def on_fire(_event):
+        log.append((sim.now, name))
+        if then is not None:
+            then()
 
-
-def test_symmetric_tie_is_counted_under_one_signature():
-    def build(sim):
-        for node in range(3):
-            sim.process(sleeper(sim, [], node, 1.0), name=f"node-{node}")
-
-    # The t=0 starts and the t=1.0 timeouts tie; the completions the
-    # timeouts schedule are causal followers, tied only among
-    # themselves.
-    assert count_ties(build) == {"process:node-#": 2, "done:node-#": 1}
-
-
-def test_named_cross_kind_tie_is_counted_under_both_labels():
-    def build(sim):
-        sim.process(sleeper(sim, [], "a", 1.0), name="scanner")
-        sim.process(sleeper(sim, [], "b", 1.0), name="joiner")
-
-    assert count_ties(build)["process:joiner + process:scanner"] == 2
-
-
-def test_anonymous_event_is_labelled_by_its_type():
-    def build(sim):
-        sim.process(sleeper(sim, [], "named", 1.0), name="worker")
-        sim.event().succeed(delay=1.0)
-
-    assert count_ties(build) == {"event + process:worker": 1}
-
-
-def test_reverse_mode_still_counts_ties():
-    def build(sim):
-        sim.process(sleeper(sim, [], "a", 1.0), name="node-1")
-        sim.process(sleeper(sim, [], "b", 1.0), name="node-2")
-
-    # Three batches: the two starts, the two timeouts, then the two
-    # completions those fires schedule (their own, later batch).
-    assert sum(count_ties(build, reverse=True).values()) == 3
+    event = sim.event()
+    event.callbacks.append(on_fire)
+    event.succeed(delay=delay)
 
 
 def test_causal_same_time_chain_is_not_a_tie():
-    # The timeout fire at t=1.0 *schedules* the completion at t=1.0,
-    # but the two never coexist in the heap: causal order, not a
-    # tie-break.
-    def build(sim):
-        sim.process(sleeper(sim, [], "solo", 1.0), name="solo")
+    # "second" *schedules* the follower at its own instant, so the
+    # follower never coexists with the tied pair in the heap: it forms
+    # a later batch and fires after both, whichever order they take.
+    def run(reverse):
+        sim = Simulator()
+        log = []
+        logged_event(sim, log, "first", 1.0)
+        logged_event(sim, log, "second", 1.0, then=lambda: logged_event(
+            sim, log, "follower", 0.0))
+        drive(sim, reverse=reverse)
+        return [name for _, name in log], {now for now, _ in log}
 
-    assert count_ties(build) == {}
+    assert run(reverse=False) == (["first", "second", "follower"], {1.0})
+    assert run(reverse=True) == (["second", "first", "follower"], {1.0})
 
 
 def test_distinct_times_are_not_ties():
-    def build(sim):
-        for delay in (1.0, 2.0, 3.0):
-            sim.event().succeed(delay=delay)
+    def run(reverse):
+        sim = Simulator()
+        log = []
+        for name, delay in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+            logged_event(sim, log, name, delay)
+        drive(sim, reverse=reverse)
+        return log
 
-    assert count_ties(build) == {}
-
-
-def test_resource_hold_expiry_gets_resource_label():
-    def build(sim):
-        cpu = Resource(sim, capacity=1, name="cpu-0")
-
-        def user():
-            yield from cpu.use(1.0)
-
-        sim.process(user(), name="u1")
-        sim.process(sleeper(sim, [], "x", 1.0), name="peer")
-
-    assert count_ties(build)["process:peer + resource:cpu-#"] == 1
-
-
-def test_normalise_collapses_digit_runs():
-    assert normalise("process:node-17.cpu3") == "process:node-#.cpu#"
-    assert normalise("token-ring") == "token-ring"
-
-
-def test_event_label_falls_back_to_type():
-    sim = Simulator()
-    assert event_label(sim.event()) == "event"
-    assert event_label(sim.timeout(1.0)) == "timeout"
+    assert run(reverse=False) == run(reverse=True) == [
+        (1.0, "a"), (2.0, "b"), (3.0, "c")]
