@@ -295,16 +295,21 @@ class ColumnPage:
         kind = self._layout.kinds[index]
         return self._block[kind] if type(kind) is int else None
 
-    def column_values(self, index: int) -> list:
-        """Column ``index`` as a list of Python values."""
+    def column_values(self, index: int, lo: int = 0,
+                      hi: int | None = None) -> list:
+        """Column ``index`` — of rows ``lo:hi`` when ``hi`` is given —
+        as a list of Python values (one slice of the block for an
+        integer column: no row of the page is built)."""
         layout = self._layout
         kind = layout.kinds[index]
+        if hi is None:
+            hi = self._n
         if type(kind) is int:
-            return self._block[kind].tolist()
+            return self._block[kind, lo:hi].tolist()
         if kind is not None:
-            return [kind.value] * self._n
-        return list(self._objs[layout.obj_pos.index(
-            index if index >= 0 else index + layout.width)])
+            return [kind.value] * (hi - lo)
+        return self._objs[layout.obj_pos.index(
+            index if index >= 0 else index + layout.width)][lo:hi]
 
     def cut(self, start: int, stop: int) -> "ColumnPage":
         """``self[start:stop]`` for ``0 <= start <= stop <= len(self)``,

@@ -90,14 +90,14 @@ class JoinHashTable:
         #: Hash codes >= cutoff overflow; None means no overflow yet.
         self.cutoff: int | None = None
         self._histogram = [0] * HISTOGRAM_BINS
-        # Columnar arena: while every insert arrives as a whole
-        # ColumnPage batch (the page data plane), the batches
-        # are accumulated as-is — no per-tuple chains — and probing
+        # Columnar arena: while every insert arrives as a ColumnPage
+        # run (the page data plane), the runs are accumulated as
+        # (page, lo, hi, hashes) — no per-tuple chains — and probing
         # runs against a lazily built sorted index.  The first scalar
         # operation (insert / make_room / probe / resident_rows)
         # materializes the arena into classic chains; ``None`` means
         # the table is in scalar-chain mode.
-        self._arena: list[tuple[ColumnPage, list[int]]] | None = []
+        self._arena: list[tuple[ColumnPage, int, int, list[int]]] | None = []
         self._arena_index: dict[int, tuple[int, int]] | None = None
         self._arena_order: typing.Any = None
         self._arena_max_chain = 0
@@ -161,24 +161,27 @@ class JoinHashTable:
         self._histogram[self._bin(hash_code)] += 1
 
     def insert_page(self, rows: typing.Sequence[Row],
-                    hashes: typing.Sequence[int]) -> None:
-        """Insert a whole page at once.
+                    hashes: typing.Sequence[int], lo: int = 0,
+                    hi: int | None = None) -> None:
+        """Insert a whole page at once — or, with ``hi`` given, the run
+        ``rows[lo:hi]`` of it (``hashes`` aligned with the run).
 
-        Caller guarantees ``cutoff is None`` and ``count + len(rows) <=
-        capacity`` — exactly the regime where the scalar protocol never
-        calls ``admits``/``make_room`` between inserts, so this is the
-        plain insert loop with the per-row bookkeeping hoisted.
+        Caller guarantees ``cutoff is None`` and ``count + len(hashes)
+        <= capacity`` — exactly the regime where the scalar protocol
+        never calls ``admits``/``make_room`` between inserts, so this is
+        the plain insert loop with the per-row bookkeeping hoisted.
 
-        A :class:`~repro.catalog.pages.ColumnPage` batch arriving while
-        the table is still in arena mode is retained whole: only the
-        histogram and counters are updated, and no row tuple is ever
-        materialized unless probing later finds a match.
+        A :class:`~repro.catalog.pages.ColumnPage` run arriving while
+        the table is still in arena mode is retained as a run of its
+        page: only the histogram and counters are updated, and no row
+        tuple is ever materialized unless probing later finds a match.
         """
+        n = len(hashes)
         arena = self._arena
         if arena is not None:
             if isinstance(rows, ColumnPage):
                 arena.append((
-                    rows,
+                    rows, lo, lo + n,
                     hashes if isinstance(hashes, list) else list(hashes)))
                 self._arena_index = None
                 self._arena_keys = None
@@ -186,10 +189,12 @@ class JoinHashTable:
                 histogram = self._histogram
                 for hash_code in hashes:
                     histogram[hash_code * HISTOGRAM_BINS // HASH_MODULUS] += 1
-                self.count += len(rows)
-                self.total_inserted += len(rows)
+                self.count += n
+                self.total_inserted += n
                 return
             self._materialize()
+        if hi is not None and (lo or hi != len(rows)):
+            rows = rows[lo:hi]
         slots = self._slots
         histogram = self._histogram
         max_chain = self.max_chain
@@ -205,8 +210,8 @@ class JoinHashTable:
                 max_chain = chain_length
             histogram[hash_code * HISTOGRAM_BINS // HASH_MODULUS] += 1
         self.max_chain = max_chain
-        self.count += len(rows)
-        self.total_inserted += len(rows)
+        self.count += n
+        self.total_inserted += n
 
     # -- columnar arena ------------------------------------------------------
 
@@ -228,8 +233,8 @@ class JoinHashTable:
             return
         slots = self._slots
         max_chain = self._max_chain
-        for page, page_hashes in parts:
-            for row, hash_code in zip(page, page_hashes):
+        for page, lo, hi, page_hashes in parts:
+            for row, hash_code in zip(page.cut(lo, hi), page_hashes):
                 chain = slots.get(hash_code)
                 if chain is None:
                     slots[hash_code] = [row]
@@ -254,7 +259,7 @@ class JoinHashTable:
             parts = self._arena
             assert parts is not None
             all_hashes: list[int] = []
-            for _page, page_hashes in parts:
+            for _page, _lo, _hi, page_hashes in parts:
                 all_hashes.extend(page_hashes)
             arr = np.asarray(all_hashes, dtype=np.int64)
             order, starts, ends, keys, max_chain = \
@@ -275,8 +280,8 @@ class JoinHashTable:
         if self._arena_keys is None or self._arena_key_index != inner_key:
             parts = self._arena
             assert parts is not None and parts
-            pages = [page for page, _hashes in parts]
-            whole = pages[0] if len(pages) == 1 else ColumnPage.concat(pages)
+            whole = ColumnPage.concat([page.cut(lo, hi)
+                                       for page, lo, hi, _ in parts])
             ordered = whole.take(self._arena_order)
             self._arena_rows = list(ordered)
             self._arena_keys = ordered.column_values(inner_key)
@@ -376,8 +381,10 @@ class JoinHashTable:
                     hashes: typing.Sequence[int], outer_key: int,
                     inner_key: int, tuple_receive: float,
                     tuple_probe: float, tuple_chain_link: float,
-                    result_move: float) -> tuple[float, list[Row]]:
-        """Probe a whole page: ``(cpu, results)``.
+                    result_move: float, lo: int = 0
+                    ) -> tuple[float, list[Row]]:
+        """Probe a whole page — or the run of ``len(hashes)`` rows of it
+        starting at row ``lo``: ``(cpu, results)``.
 
         Bit-equal to the scalar probe consumer: per row the charges are
         ``cpu += tuple_receive; cpu += tuple_probe [+ (chain-1) *
@@ -393,18 +400,19 @@ class JoinHashTable:
         gather the arena probe amortizes per page never pays for itself
         on tiny packets.
         """
+        hi = lo + len(hashes)
         if self._arena is not None:
-            if len(rows) >= PROBE_ARENA_MIN_ROWS:
+            if hi - lo >= PROBE_ARENA_MIN_ROWS:
                 return self._probe_batch_arena(
                     rows, hashes, outer_key, inner_key, tuple_receive,
-                    tuple_probe, tuple_chain_link, result_move)
+                    tuple_probe, tuple_chain_link, result_move, lo)
             self._materialize()
         slots = self._slots
-        # A columnar packet is read by its key column alone; a row
-        # tuple is materialized only for a row that matches (packets
-        # here are small and matches few, so one row at a time beats
-        # materializing the whole packet at the first match).
-        out_values = (rows.column_values(outer_key)
+        # A columnar run is read by one slice of its page's key column;
+        # a row tuple is materialized only for a row that matches
+        # (packets here are small and matches few, so one row at a time
+        # beats materializing the whole packet at the first match).
+        out_values = (rows.column_values(outer_key, lo, hi)
                       if isinstance(rows, ColumnPage) else None)
         results: list[Row] = []
         cpu = 0.0
@@ -421,12 +429,12 @@ class JoinHashTable:
                 cpu += tuple_probe + (chain_length - 1) * tuple_chain_link
             row = None
             value = (out_values[i] if out_values is not None
-                     else rows[i][outer_key])
+                     else rows[lo + i][outer_key])
             for match in chain:
                 if match[inner_key] == value:
                     cpu += result_move
                     if row is None:
-                        row = rows[i]
+                        row = rows[lo + i]
                     results.append(match + row)
         return cpu, results
 
@@ -434,7 +442,7 @@ class JoinHashTable:
                            hashes: typing.Sequence[int], outer_key: int,
                            inner_key: int, tuple_receive: float,
                            tuple_probe: float, tuple_chain_link: float,
-                           result_move: float
+                           result_move: float, lo: int = 0
                            ) -> tuple[float, list[Row]]:
         """Arena-mode :meth:`probe_batch`: bit-equal charges, the same
         results.  The row loop only records (outer, arena) match
@@ -445,7 +453,7 @@ class JoinHashTable:
         index = self._arena_groups()
         keys: list | None = None
         inner_rows: list | None = None
-        out_values = (rows.column_values(outer_key)
+        out_values = (rows.column_values(outer_key, lo, lo + len(hashes))
                       if isinstance(rows, ColumnPage) else None)
         outer_at: list[int] = []
         inner_at: list[int] = []
@@ -465,7 +473,7 @@ class JoinHashTable:
             if keys is None:
                 keys, inner_rows = self._arena_probe_data(inner_key)
             value = (out_values[i] if out_values is not None
-                     else rows[i][outer_key])
+                     else rows[lo + i][outer_key])
             for j in range(start, end):
                 if keys[j] == value:
                     cpu += result_move
@@ -473,6 +481,8 @@ class JoinHashTable:
                     inner_at.append(j)
         if not outer_at:
             return cpu, []
+        if lo:
+            outer_at = [lo + i for i in outer_at]
         assert inner_rows is not None
         return cpu, [inner_rows[j] + row for j, row in
                      zip(inner_at, take_rows(rows, outer_at))]

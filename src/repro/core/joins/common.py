@@ -345,15 +345,17 @@ class HashJoinRound:
                                         eos_remaining)
                 continue
             assert type(message) is DataPacket, message
+            n = message.n
             if mon is not None:
-                mon.note_received(len(message.rows))
+                mon.note_received(n)
             if (table.cutoff is None
-                    and table.count + len(message.rows) <= table.capacity):
+                    and table.count + n <= table.capacity):
                 dataplane.packets_batched += 1
                 if site_filter is not None:
                     site_filter.set_batch(message.hashes)
-                table.insert_page(message.rows, message.hashes)
-                yield from node.cpu_use(batch_cpu(len(message.rows)))
+                table.insert_page(message.page, message.hashes,
+                                  message.lo, message.hi)
+                yield from node.cpu_use(batch_cpu(n))
                 continue
             dataplane.packets_scalar += 1
             cpu = 0.0
@@ -557,11 +559,12 @@ class HashJoinRound:
                 continue
             assert type(message) is DataPacket, message
             if mon is not None:
-                mon.note_received(len(message.rows))
+                mon.note_received(message.n)
             dataplane.packets_batched += 1
             cpu, results = probe_batch(
-                message.rows, message.hashes, outer_key, inner_key,
-                tuple_receive, tuple_probe, tuple_chain_link, result_move)
+                message.page, message.hashes, outer_key, inner_key,
+                tuple_receive, tuple_probe, tuple_chain_link, result_move,
+                message.lo)
             if results:
                 give_round_robin_batch(results)
             yield from node.cpu_use(cpu)

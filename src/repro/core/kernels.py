@@ -39,6 +39,7 @@ ablations) take the scalar route, counted in :class:`DataPlaneCounters`.
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 import numpy as np
@@ -46,7 +47,7 @@ import numpy as np
 from repro import hashing
 from repro.catalog.pages import ColumnPage
 from repro.core import backend
-from repro.engine.operators.scan import constant_page_cost
+from repro.engine.operators.scan import CountRoute, constant_page_cost
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.bit_filter import BitFilter, FilterBank
@@ -254,8 +255,12 @@ class RoutePlan:
 
     The schedule is laid out in numpy: packet bounds, completing rows
     and their order come from the gathered row index, and the packet
-    hashes from one gather of the column's hash array, so no per-row
-    Python object is built beyond the payload hash ints.
+    hashes from one gather of the column's hash array.  A columnar
+    source is gathered once into one page, and every packet is a run
+    ``(page, lo, hi)`` of it with its count — no per-packet page and
+    no per-row Python object beyond the payload hash ints.  A
+    tuple-list source is cut into per-packet lists, as the scalar fill
+    would build them.
     """
 
     __slots__ = ("router", "total_rows", "subset_rows", "_done_at",
@@ -274,10 +279,10 @@ class RoutePlan:
         capacity = router.capacity
         #: Scan position of each packet's completing row, ascending.
         done_at: list[int] = []
-        events: list[tuple[int, int | None, typing.Sequence[Row],
-                           list[int]]] = []
-        leftovers: list[tuple[int, int | None,
-                              typing.Sequence[Row], list[int]]] = []
+        #: Router ready entries, in release order.
+        events: list = []
+        #: Per-group tails: stash_partial's arguments.
+        leftovers: list = []
         n = int(len(groups))
         self.subset_rows = n
         if n:
@@ -286,20 +291,19 @@ class RoutePlan:
                 len(dst_of_group))
             src = order if row_index is None else row_index[order]
             sorted_hashes = hash_arr[src].tolist()
-            sorted_rows: typing.Sequence[Row]
-            if isinstance(rows, ColumnPage):
-                # Columnar source: one C-level gather of the whole
-                # subset, then zero-copy page-slice packets — no row
-                # tuple is ever materialized on the routing path.
-                sorted_rows = rows.take(src)
-                cut = sorted_rows.cut
+            columnar = isinstance(rows, ColumnPage)
+            page: typing.Sequence[Row]
+            if columnar:
+                # One C-level gather of the whole subset; the packets
+                # are runs of it — no row tuple and no per-packet page
+                # is built on the routing path.
+                page = rows.take(src)
             else:
-                sorted_rows = [rows[i] for i in src.tolist()]
-                cut = None
-            groups_of_seg = seg_groups.tolist()
-            seg_dst = [dst_of_group[g] for g in groups_of_seg]
-            seg_bucket = [None if bucket_of_group is None
-                          else bucket_of_group[g] for g in groups_of_seg]
+                page = [rows[i] for i in src.tolist()]
+            seg_key = [(dst_of_group[g],
+                        None if bucket_of_group is None
+                        else bucket_of_group[g])
+                       for g in seg_groups.tolist()]
             # Full packets, segment by segment, then ordered by the
             # scan position of their last row (distinct: every row is
             # in one packet at most).
@@ -311,21 +315,27 @@ class RoutePlan:
             completes = src[lo + (capacity - 1)]
             by_completion = np.argsort(completes)
             done_at = completes[by_completion].tolist()
-            for lo_i, seg in zip(lo[by_completion].tolist(),
-                                 seg_of[by_completion].tolist()):
-                hi = lo_i + capacity
-                events.append((
-                    seg_dst[seg], seg_bucket[seg],
-                    cut(lo_i, hi) if cut else sorted_rows[lo_i:hi],
-                    sorted_hashes[lo_i:hi]))
+            lo = lo[by_completion]
+            packets = zip(lo.tolist(), (lo + capacity).tolist(),
+                          seg_of[by_completion].tolist())
+            if columnar:
+                events = [(seg_key[seg], page, lo_i, hi, capacity,
+                           sorted_hashes[lo_i:hi])
+                          for lo_i, hi, seg in packets]
+            else:
+                events = [(seg_key[seg], page[lo_i:hi], 0, capacity,
+                           capacity, sorted_hashes[lo_i:hi])
+                          for lo_i, hi, seg in packets]
             # What is left of each group is its tail.
             tails = (seg_ends - (seg_ends - seg_starts) % capacity).tolist()
-            for seg, (tail, b) in enumerate(zip(tails, seg_ends.tolist())):
+            for (dst, bucket), tail, b in zip(seg_key, tails,
+                                              seg_ends.tolist()):
                 if tail < b:
-                    leftovers.append((
-                        seg_dst[seg], seg_bucket[seg],
-                        cut(tail, b) if cut else sorted_rows[tail:b],
-                        sorted_hashes[tail:b]))
+                    leftovers.append(
+                        (dst, bucket, page, sorted_hashes[tail:b],
+                         tail, b) if columnar
+                        else (dst, bucket, page[tail:b],
+                              sorted_hashes[tail:b], 0, None))
         self._done_at = done_at
         self._events = events
         self._leftovers = leftovers
@@ -334,17 +344,16 @@ class RoutePlan:
         """Account for one scanned page; release completed packets."""
         pos = self._pos + page_rows
         self._pos = pos
-        done_at = self._done_at
         i = self._next
-        while i < len(done_at) and done_at[i] < pos:
-            self.router.push_ready(*self._events[i])
-            i += 1
-        self._next = i
+        j = bisect.bisect_left(self._done_at, pos, i)
+        if j > i:
+            self.router.extend_ready(self._events[i:j])
+            self._next = j
         if pos >= self.total_rows and not self._finalized:
             self._finalized = True
             router = self.router
-            for dst, bucket, rows, hashes in self._leftovers:
-                router.stash_partial(dst, bucket, rows, hashes)
+            for leftover in self._leftovers:
+                router.stash_partial(*leftover)
             router.tuples_routed += self.subset_rows
 
 
@@ -395,7 +404,7 @@ def vector_simple_route(counters: DataPlaneCounters, column: Column,
                         dst_of_group: typing.Sequence[int],
                         bucket_of_group: typing.Sequence[int] | None,
                         n_groups: int, tuple_scan: float,
-                        r_const: float) -> RoutePageFn:
+                        r_const: float) -> CountRoute:
     """Constant-cost single-router route: build side, Grace forming,
     sort-merge partitioning."""
     groups = column.arr % np.uint64(n_groups)
@@ -403,14 +412,13 @@ def vector_simple_route(counters: DataPlaneCounters, column: Column,
                      dst_of_group, bucket_of_group)
     cpu_for = constant_page_cost(tuple_scan, r_const)
 
-    def route_page(page: typing.Sequence[Row]) -> float:
-        n = len(page)
+    def route_rows(n: int) -> float:
         counters.pages_batched += 1
         counters.rows_batched += n
         plan.advance(n)
         return cpu_for(n)
 
-    return route_page
+    return CountRoute(route_rows)
 
 
 def vector_probe_route(counters: DataPlaneCounters, column: Column,
@@ -422,7 +430,7 @@ def vector_probe_route(counters: DataPlaneCounters, column: Column,
                        cutoffs: typing.Sequence[int | None],
                        bank: "FilterBank | None", costs: "CostModel",
                        bump_spooled: typing.Callable[[int], None] | None
-                       ) -> RoutePageFn:
+                       ) -> CountRoute:
     """Outer-relation route: filter test, cutoff check, transmit.
 
     Also serves the sort-merge S partition (all cutoffs None, no spool
@@ -479,30 +487,28 @@ def vector_probe_route(counters: DataPlaneCounters, column: Column,
     if passed is None:
         cpu_for = constant_page_cost(tuple_scan, tuple_hash + tuple_move)
 
-        def route_page(page: typing.Sequence[Row]) -> float:
-            n_page = len(page)
+        def route_rows(n_page: int) -> float:
             counters.pages_batched += 1
             counters.rows_batched += n_page
             for plan in plans:
                 plan.advance(n_page)
             return cpu_for(n_page)
 
-        return route_page
+        return CountRoute(route_rows)
 
     r_elim = tuple_hash + costs.filter_test
     r_pass = r_elim + tuple_move
     stream = CostStream(tuple_scan,
                         np.where(passed, r_pass, r_elim).tolist())
 
-    def route_page(page: typing.Sequence[Row]) -> float:
-        n_page = len(page)
+    def route_rows(n_page: int) -> float:
         counters.pages_batched += 1
         counters.rows_batched += n_page
         for plan in plans:
             plan.advance(n_page)
         return stream.take(n_page)
 
-    return route_page
+    return CountRoute(route_rows)
 
 
 def vector_hybrid_inner_route(counters: DataPlaneCounters,
@@ -511,7 +517,7 @@ def vector_hybrid_inner_route(counters: DataPlaneCounters,
                               entry_dst: typing.Sequence[int],
                               entry_buckets: typing.Sequence[int],
                               tuple_scan: float, r_const: float
-                              ) -> RoutePageFn:
+                              ) -> CountRoute:
     """Hybrid's combined partition/build route (no forming filter)."""
     n_entries = len(entry_dst)
     entry_idx = (column.arr % np.uint64(n_entries)).astype(np.int64)
@@ -528,15 +534,14 @@ def vector_hybrid_inner_route(counters: DataPlaneCounters,
                                entry_buckets))
     cpu_for = constant_page_cost(tuple_scan, r_const)
 
-    def route_page(page: typing.Sequence[Row]) -> float:
-        n = len(page)
+    def route_rows(n: int) -> float:
         counters.pages_batched += 1
         counters.rows_batched += n
         for plan in plans:
             plan.advance(n)
         return cpu_for(n)
 
-    return route_page
+    return CountRoute(route_rows)
 
 
 def vector_hybrid_outer_route(counters: DataPlaneCounters,
@@ -550,7 +555,7 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
                               bank: "FilterBank | None",
                               costs: "CostModel",
                               bump_spooled: typing.Callable[[int], None]
-                              ) -> RoutePageFn:
+                              ) -> CountRoute:
     """Hybrid's combined partition/probe route (no forming filter).
 
     Bucket-0 rows follow the probe/spool logic of
@@ -611,15 +616,14 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
     if bank is None:
         cpu_for = constant_page_cost(tuple_scan, tuple_hash + tuple_move)
 
-        def route_page(page: typing.Sequence[Row]) -> float:
-            n_page = len(page)
+        def route_rows(n_page: int) -> float:
             counters.pages_batched += 1
             counters.rows_batched += n_page
             for plan in plans:
                 plan.advance(n_page)
             return cpu_for(n_page)
 
-        return route_page
+        return CountRoute(route_rows)
 
     r_temp = tuple_hash + tuple_move
     r_elim = tuple_hash + costs.filter_test
@@ -629,15 +633,14 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
         np.where(b0, np.where(passed_b0, r_pass, r_elim),
                  r_temp).tolist())
 
-    def route_page(page: typing.Sequence[Row]) -> float:
-        n_page = len(page)
+    def route_rows(n_page: int) -> float:
         counters.pages_batched += 1
         counters.rows_batched += n_page
         for plan in plans:
             plan.advance(n_page)
         return stream.take(n_page)
 
-    return route_page
+    return CountRoute(route_rows)
 
 
 # --------------------------------------------------------------------------
@@ -646,18 +649,16 @@ def vector_hybrid_outer_route(counters: DataPlaneCounters,
 
 def writer_filter_hook(bit_filter: "BitFilter", tuple_store: float,
                        filter_set: float
-                       ) -> typing.Callable[[typing.Sequence[Row],
-                                             typing.Sequence[int]], float]:
-    """The sort-merge writer's filter-building hook, one packet at a
-    time: bits set as a batch (OR commutes), CPU charged as the
-    per-tuple sequence ``n * tuple_store`` then n additions of
-    ``filter_set``, replayed once per distinct packet size and
-    memoized."""
+                       ) -> typing.Callable[[int, typing.Sequence[int]],
+                                            float]:
+    """The sort-merge writer's filter-building hook, one packet of
+    ``n`` rows at a time: bits set as a batch (OR commutes), CPU
+    charged as the per-tuple sequence ``n * tuple_store`` then n
+    additions of ``filter_set``, replayed once per distinct packet
+    size and memoized."""
     memo: dict[int, float] = {}
 
-    def batch_hook(rows: typing.Sequence[Row],
-                   hashes: typing.Sequence[int]) -> float:
-        n = len(rows)
+    def batch_hook(n: int, hashes: typing.Sequence[int]) -> float:
         cpu = memo.get(n)
         if cpu is None:
             total = n * tuple_store

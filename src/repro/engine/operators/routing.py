@@ -17,8 +17,8 @@ one marker that accounts for every producer.
 CPU accounting: ``give`` is called at tuple rate, so it does no
 simulated work itself.  Callers accumulate per-tuple CPU (hash, move,
 filter test) and charge it in page-sized batches; the router charges
-only the per-packet protocol costs, at flush time, through
-``NetworkService.send``.
+only the per-packet protocol costs, at flush time
+(:meth:`Router.flush_ready`, the one send path of data packets).
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Row = typing.Tuple
 _BufferKey = typing.Tuple[int, typing.Optional[int]]
+#: A packet ready to send: ``(key, page, lo, hi, n, hashes)`` — rows
+#: ``page[lo:hi]``, ``n == hi - lo`` of them (see :class:`DataPacket`).
+_Ready = typing.Tuple[_BufferKey, typing.Sequence[Row], int, int, int,
+                      typing.Sequence[int]]
 
 
 class StreamGroup:
@@ -99,13 +103,15 @@ class Router:
         self.port = port
         self.tuple_bytes = tuple_bytes
         self.capacity = machine.costs.tuples_per_packet(tuple_bytes)
-        #: Bucketed buffers, keyed (dst_node_id, bucket).
-        self._buffers: dict[_BufferKey, tuple[list[Row], list[int]]] = {}
+        #: Bucketed buffers, keyed (dst_node_id, bucket): ``(rows,
+        #: hashes)`` lists the give methods fill, or a route plan's
+        #: stashed tail run ``(page, lo, hi, hashes)``.
+        self._buffers: dict[_BufferKey, tuple] = {}
         #: Unbucketed buffers, keyed by the bare dst_node_id — int keys
         #: hash much faster than (dst, None) tuples on the per-tuple
         #: path; logically these are the bucket-None entries.
-        self._buffers0: dict[int, tuple[list[Row], list[int]]] = {}
-        self._ready: list[tuple[_BufferKey, list[Row], list[int]]] = []
+        self._buffers0: dict[int, tuple] = {}
+        self._ready: list[_Ready] = []
         self._rr_next = 0
         self.closed = False
         self.tuples_routed = 0
@@ -167,10 +173,11 @@ class Router:
         buffer[0].append(row)
         buffer[1].append(hash_code)
         self.tuples_routed += 1
-        if len(buffer[0]) >= self.capacity:
+        capacity = self.capacity
+        if len(buffer[0]) >= capacity:
             del buffers[key]
-            self._ready.append(((dst_node_id, bucket), buffer[0],
-                                buffer[1]))
+            self._ready.append(((dst_node_id, bucket), buffer[0], 0,
+                                capacity, capacity, buffer[1]))
 
     def give_batch(self, dst_node_ids: typing.Sequence[int],
                    rows: typing.Sequence[Row],
@@ -202,7 +209,8 @@ class Router:
                 bhashes.append(h)
                 if len(brows) >= capacity:
                     del buffers0[dst]
-                    ready.append(((dst, None), brows, bhashes))
+                    ready.append(((dst, None), brows, 0, capacity,
+                                  capacity, bhashes))
         else:
             for dst, row, h, bucket in zip(dst_node_ids, rows, hashes,
                                            buckets):
@@ -216,47 +224,58 @@ class Router:
                 bhashes.append(h)
                 if len(brows) >= capacity:
                     del buffers[key]
-                    ready.append((key, brows, bhashes))
+                    ready.append((key, brows, 0, capacity, capacity,
+                                  bhashes))
         self.tuples_routed += len(rows)
 
-    def push_ready(self, dst_node_id: int, bucket: int | None,
-                   rows: list[Row], hashes: list[int]) -> None:
-        """Queue one full packet directly (vectorized routing).
+    def extend_ready(self, entries: typing.Sequence[_Ready]) -> None:
+        """Queue full packets directly (vectorized routing).
 
         The batch route planner pre-cuts each destination's stream into
-        capacity-sized packets; pushing them whole is equivalent to the
+        capacity-sized runs; queueing them whole is equivalent to the
         ``give``-at-a-time fill reaching capacity.  ``tuples_routed`` is
         settled by the planner in one final add, not per packet.
         """
         if self.closed:
             raise RuntimeError(f"router {self.port!r} already closed")
-        self._ready.append(((dst_node_id, bucket), rows, hashes))
+        self._ready.extend(entries)
 
     def stash_partial(self, dst_node_id: int, bucket: int | None,
-                      rows: list[Row], hashes: list[int]) -> None:
-        """Leave a sub-capacity tail in the partial-packet buffers so
-        ``close`` flushes it exactly as the scalar fill would have."""
+                      rows: typing.Sequence[Row], hashes: list[int],
+                      lo: int = 0, hi: int | None = None) -> None:
+        """Leave a sub-capacity tail, rows ``rows[lo:hi]``, in the
+        partial-packet buffers so ``close`` flushes it exactly as the
+        scalar fill would have.  A columnar tail stays a run of its
+        page; a tuple-list tail is stored as the list buffer it is."""
         if self.closed:
             raise RuntimeError(f"router {self.port!r} already closed")
         buffers = self._buffers0 if bucket is None else self._buffers
         key = dst_node_id if bucket is None else (dst_node_id, bucket)
         buffer = buffers.get(key)
         if buffer is None:
-            buffers[key] = (rows, hashes)
+            buffers[key] = (
+                (rows, hashes) if hi is None
+                else (rows, lo, hi, hashes))
             return
         # A buffer already exists (a scalar producer shared this
         # router): merge element-wise with the same capacity rollover
-        # the per-tuple path applies.  A stashed columnar tail is
-        # materialized first — append-merging is inherently row-wise.
-        brows, bhashes = buffer
-        if not isinstance(brows, list):
-            brows, bhashes = list(brows), list(bhashes)
+        # the per-tuple path applies.  A columnar tail is materialized
+        # first — append-merging is inherently row-wise.
+        if len(buffer) == 4:
+            page, blo, bhi, bhashes = buffer
+            brows, bhashes = list(page[blo:bhi]), list(bhashes)
+        else:
+            brows, bhashes = buffer
+        if hi is not None:
+            rows = rows[lo:hi]
+        capacity = self.capacity
         for row, hash_code in zip(rows, hashes):
             brows.append(row)
             bhashes.append(hash_code)
-            if len(brows) >= self.capacity:
+            if len(brows) >= capacity:
                 del buffers[key]
-                self._ready.append(((dst_node_id, bucket), brows, bhashes))
+                self._ready.append(((dst_node_id, bucket), brows, 0,
+                                    capacity, capacity, bhashes))
                 brows, bhashes = [], []
         if brows:
             buffers[key] = (brows, bhashes)
@@ -293,7 +312,8 @@ class Router:
             bhashes.append(0)
             if len(brows) >= capacity:
                 del buffers0[dst]
-                ready.append(((dst, None), brows, bhashes))
+                ready.append(((dst, None), brows, 0, capacity, capacity,
+                              bhashes))
         self._rr_next = rr
         self.tuples_routed += len(rows)
 
@@ -302,31 +322,33 @@ class Router:
     def flush_ready(self) -> typing.Generator:
         """Transmit every buffer that has filled a packet.
 
-        Inlines :meth:`NetworkService.send` for the data-packet case —
-        identical bookkeeping, charges and event order, minus a
-        generator frame per packet on the hottest send chain.  The
-        producer process is suspended inside this generator for the
-        duration, so nothing refills ``_ready`` mid-flush.
+        The one send path of data packets: the data-packet case of
+        :meth:`NetworkService.send`'s charges and event order, without
+        a generator frame per packet.  Each ready entry already carries
+        its count, so the traffic counters are summed locally and added
+        to :class:`NetworkStats` once per flush.  The producer process
+        is suspended inside this generator for the duration, so nothing
+        refills ``_ready`` mid-flush.
         """
         ready = self._ready
         src = self.src_node.node_id
         tuple_bytes = self.tuple_bytes
-        stats = self._stats
         cpu_use = self._src_cpu_use
         mailboxes = self._mailboxes
         make_packet = DataPacket.make
         ring = self._ring
         packet_size = self._packet_size
-        for (dst_node_id, bucket), rows, hashes in ready:
-            n = len(rows)
+        tuples = 0
+        sc_packets = 0
+        sc_tuples = 0
+        for (dst_node_id, bucket), page, lo, hi, n, hashes in ready:
             payload = n * tuple_bytes
-            packet = make_packet(src, rows, hashes, payload, bucket)
-            stats.data_packets += 1
-            stats.data_tuples += n
-            stats.data_bytes += payload
+            packet = make_packet(src, page, lo, hi, n, hashes, payload,
+                                 bucket)
+            tuples += n
             if dst_node_id == src:
-                stats.data_packets_shortcircuited += 1
-                stats.data_tuples_shortcircuited += n
+                sc_packets += 1
+                sc_tuples += n
                 yield from cpu_use(self._sc_cost)
             else:
                 yield from cpu_use(self._send_cost)
@@ -344,6 +366,12 @@ class Router:
                 mailbox = mailboxes[dst_node_id] = self._mailbox(
                     dst_node_id, self.port)
             mailbox.put(packet)
+        stats = self._stats
+        stats.data_packets += len(ready)
+        stats.data_tuples += tuples
+        stats.data_bytes += tuples * tuple_bytes
+        stats.data_packets_shortcircuited += sc_packets
+        stats.data_tuples_shortcircuited += sc_tuples
         ready.clear()
 
     def close(self) -> typing.Generator:
@@ -352,9 +380,8 @@ class Router:
         the port's combining tree.
 
         The flat fan-out inlines :meth:`NetworkService.send` for the
-        :class:`EndOfStream` case the same way :meth:`flush_ready`
-        inlines the data-packet case — identical stats, charges and
-        event order, two fewer generator frames per consumer.  It is
+        :class:`EndOfStream` case — identical stats, charges and event
+        order, two fewer generator frames per consumer.  It is
         the only termination ``gamma-1989`` has, O(N²) of these per
         port, so the frames are worth ~10 % of a 256-node ring run
         (DESIGN.md §15).
@@ -366,14 +393,21 @@ class Router:
         # the single-dict (dst, bucket) keying did).  Already-full
         # packets in ``_ready`` go first, then the sorted leftovers —
         # queued onto the same flush loop, which sends in list order.
-        leftovers: list[tuple[_BufferKey, tuple[list[Row], list[int]]]] = [
+        leftovers: list[tuple[_BufferKey, tuple]] = [
             ((dst, None), buffer)
             for dst, buffer in self._buffers0.items()]
         leftovers.extend(self._buffers.items())
         leftovers.sort(
             key=lambda kb: (kb[0][0], -1 if kb[0][1] is None else kb[0][1]))
-        self._ready.extend(
-            (key, rows, hashes) for key, (rows, hashes) in leftovers)
+        ready = self._ready
+        for key, buffer in leftovers:
+            if len(buffer) == 2:
+                rows, hashes = buffer
+                n = len(rows)
+                ready.append((key, rows, 0, n, n, hashes))
+            else:
+                page, lo, hi, hashes = buffer
+                ready.append((key, page, lo, hi, hi - lo, hashes))
         yield from self.flush_ready()
         self._buffers.clear()
         self._buffers0.clear()

@@ -12,6 +12,7 @@ all routers (flush + end-of-stream).
 
 from __future__ import annotations
 
+import itertools
 import typing
 
 from repro.engine.node import Node
@@ -28,18 +29,48 @@ Row = typing.Tuple
 RouteFn = typing.Callable[[Row], float]
 
 
+class PageScan:
+    """The pages of one or more stored row sequences, read back to back.
+
+    Iterating yields each page's rows (a slice of its sequence);
+    :meth:`sizes` yields only the pages' row counts, so a
+    :class:`CountRoute` scan cuts no page at all.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, parts: typing.Sequence[
+            tuple["typing.Sequence[Row] | PagedFile", int]]) -> None:
+        #: ``(rows or file, tuples per page)``, in scan order; a file's
+        #: rows are read only when its pages are iterated.
+        self._parts = parts
+
+    def __iter__(self) -> typing.Iterator[typing.Sequence[Row]]:
+        for source, per_page in self._parts:
+            if isinstance(source, PagedFile):
+                yield from source.pages()
+                continue
+            for start in range(0, len(source), per_page):
+                yield source[start:start + per_page]
+
+    def sizes(self) -> typing.Iterator[int]:
+        """The row count of every page, in scan order."""
+        for source, per_page in self._parts:
+            full, rest = divmod(len(source), per_page)
+            yield from itertools.repeat(per_page, full)
+            if rest:
+                yield rest
+
+
 def fragment_pages(rows: typing.Sequence[Row], tuples_per_page: int
-                   ) -> typing.Iterator[typing.Sequence[Row]]:
+                   ) -> PageScan:
     """Page-sized chunks of a stored relation fragment."""
-    for start in range(0, len(rows), tuples_per_page):
-        yield rows[start:start + tuples_per_page]
+    return PageScan([(rows, tuples_per_page)])
 
 
-def chain_file_pages(files: typing.Sequence[PagedFile]
-                     ) -> typing.Iterator[typing.Sequence[Row]]:
+def chain_file_pages(files: typing.Sequence[PagedFile]) -> PageScan:
     """Pages of several temp files, read back to back."""
-    for file in files:
-        yield from file.pages()
+    return PageScan([(file, file.tuples_per_page) for file in files])
 
 
 #: Page-level callback: handles a whole page (scan CPU, predicate,
@@ -48,6 +79,15 @@ def chain_file_pages(files: typing.Sequence[PagedFile]
 #: (``cpu += tuple_scan`` then ``cpu += route(row)`` per row) so
 #: simulated times stay bit-identical.
 RoutePageFn = typing.Callable[[typing.Sequence[Row]], float]
+
+
+class CountRoute(typing.NamedTuple):
+    """A page route that needs only each page's row count (the
+    vectorized routes: their route plans already hold the rows).
+    :func:`scan_pages` hands it the counts of a :class:`PageScan` and
+    cuts no page for it."""
+
+    route: typing.Callable[[int], float]
 
 
 def constant_page_cost(*adds: float) -> typing.Callable[[int], float]:
@@ -81,7 +121,7 @@ def scan_pages(machine: "GammaMachine", node: Node,
                route: RouteFn | None = None,
                read_from_disk: bool = True,
                predicate: typing.Callable[[Row], bool] | None = None,
-               route_page: RoutePageFn | None = None,
+               route_page: RoutePageFn | CountRoute | None = None,
                ) -> typing.Generator:
     """Scan ``pages`` on ``node``, routing each qualifying tuple.
 
@@ -109,15 +149,26 @@ def scan_pages(machine: "GammaMachine", node: Node,
     route_page:
         Page-level callback (the fast lane used by the join drivers):
         one call covers the whole page's scan CPU, predicate, hashing
-        and routing, returning the page's total CPU seconds.
+        and routing, returning the page's total CPU seconds.  A
+        :class:`CountRoute` is called with each page's row count
+        instead, and then ``pages`` must be a :class:`PageScan`.
     """
     costs = machine.costs
-    if route_page is None:
+    items: typing.Iterable = pages
+    handle: typing.Callable[[typing.Any], float]
+    by_count = type(route_page) is CountRoute
+    if by_count:
+        assert isinstance(pages, PageScan), pages
+        items = pages.sizes()
+        handle = typing.cast(CountRoute, route_page).route
+    elif route_page is not None:
+        handle = typing.cast(RoutePageFn, route_page)
+    else:
         if route is None:
             raise TypeError("scan_pages needs either route or route_page")
         tuple_scan = costs.tuple_scan
 
-        def route_page(page: typing.Sequence[Row]) -> float:
+        def handle(page: typing.Sequence[Row]) -> float:
             cpu = 0.0
             for row in page:
                 cpu += tuple_scan
@@ -133,13 +184,13 @@ def scan_pages(machine: "GammaMachine", node: Node,
         routed_before = sum(r.tuples_routed for r in routers)
         n_pages = 0
         n_tuples = 0
-    for page in pages:
+    for page in items:
         if disk is not None:
             yield from disk.read_pages(1, sequential=True)
         if mon is not None:
             n_pages += 1
-            n_tuples += len(page)
-        yield from cpu_use(route_page(page))
+            n_tuples += page if by_count else len(page)
+        yield from cpu_use(handle(page))
         for router in routers:
             if router._ready:
                 yield from router.flush_ready()

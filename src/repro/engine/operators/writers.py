@@ -55,13 +55,12 @@ class WriterStats:
         self.pages_written += other.pages_written
 
 
-#: Optional page-batch callback: receives a packet's (rows, hashes) and
-#: returns the packet's *entire* store CPU in place of the plain
-#: per-tuple store charge (e.g. setting bit-filter bits while the
+#: Optional page-batch callback: receives a packet's row count and
+#: hashes and returns the packet's *entire* store CPU in place of the
+#: plain per-tuple store charge (e.g. setting bit-filter bits while the
 #: redistributed inner relation of a sort-merge join arrives at its
 #: disk site, §4.2).
-BatchHook = typing.Callable[
-    [typing.Sequence[Row], typing.Sequence[int]], float]
+BatchHook = typing.Callable[[int, typing.Sequence[int]], float]
 
 
 def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
@@ -113,19 +112,21 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
                 raise eos_overshoot(port, node_id, message, eos_remaining)
             continue
         assert type(message) is DataPacket, message
+        n = message.n
         if mon is not None:
-            mon.note_received(len(message.rows))
+            mon.note_received(n)
         if stats is not None:
-            stats.tuples_received += len(message.rows)
-            if message.src_node == node.node_id:
-                stats.tuples_local += len(message.rows)
+            stats.tuples_received += n
+            if message.src_node == node_id:
+                stats.tuples_local += n
         if batch_hook is not None:
-            cpu = batch_hook(message.rows, message.hashes)
+            cpu = batch_hook(n, message.hashes)
         else:
-            cpu = len(message.rows) * tuple_store
+            cpu = n * tuple_store
         yield from node.cpu_use(cpu)
         file = select_file(message.bucket)
-        pages_completed = file.extend(message.rows, message.hashes)
+        pages_completed = file.extend(message.page, message.hashes,
+                                      message.lo, message.hi)
         if collect is not None:
             collect.extend(message.rows)
         if pages_completed:

@@ -15,7 +15,9 @@ communication software (§2.2).  This package models that stack:
   charges protocol CPU on the sender, wire time on the ring (skipped
   for same-node "short-circuit" deliveries, which still pay a reduced
   CPU cost on both ends — §4.1 of the paper leans on exactly this),
-  and delivers into the destination mailbox.
+  and delivers into the destination mailbox.  Data packets take the
+  same charges through :meth:`Router.flush_ready
+  <repro.engine.operators.routing.Router.flush_ready>`.
 * :mod:`~repro.network.topology` — scale-out interconnects behind the
   same transport contract: a switched fabric with per-link contention
   and a hypercube with dimension-order routing, selected per machine

@@ -26,52 +26,79 @@ from repro.sim.engine import SimulationError
 Row = typing.Tuple
 
 
-@dataclasses.dataclass(frozen=True)
 class DataPacket:
-    """A batch of tuples from one producer to one consumer."""
+    """A batch of tuples from one producer to one consumer.
 
-    src_node: int
-    rows: typing.Sequence[Row]
-    payload_bytes: int
-    #: Pre-computed hash codes aligned with ``rows`` — Gamma computes
-    #: the hash once at the producer; consumers reuse it for hash-table
-    #: slotting, so the simulation does too.
-    hashes: typing.Sequence[int]
-    #: Logical bucket this batch belongs to (Grace/Hybrid bucket
-    #: forming), or None for single-stream traffic.
-    bucket: int | None = None
+    The packet's rows are ``page[lo:hi]``, ``n == hi - lo`` of them.
+    A packet the vectorized data plane routes is a *run*: ``page`` is
+    the :class:`~repro.catalog.pages.ColumnPage` its route plan
+    gathered, shared by every packet of that plan, and no per-packet
+    page is cut — a consumer that needs the key column slices it out
+    of the page's block, and one that needs whole rows cuts them
+    (:attr:`rows`).  A packet the scalar routes fill is a tuple list
+    spanning it all (``lo == 0``, ``hi == n == len(page)``).
+    Consumers read ``n``, ``hashes`` and the run bounds; they may
+    index or slice ``page`` but never mutate it.
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.hashes):
+    A slotted record: routers build one per packet with :meth:`make`,
+    which skips the validation the keyword constructor does.
+    """
+
+    __slots__ = ("src_node", "page", "lo", "hi", "n", "hashes",
+                 "payload_bytes", "bucket")
+
+    def __init__(self, src_node: int, rows: typing.Sequence[Row],
+                 payload_bytes: int, hashes: typing.Sequence[int],
+                 bucket: int | None = None) -> None:
+        if len(rows) != len(hashes):
             raise ValueError(
-                f"packet rows/hashes mismatch: {len(self.rows)} vs "
-                f"{len(self.hashes)}")
-        if not self.rows:
+                f"packet rows/hashes mismatch: {len(rows)} vs "
+                f"{len(hashes)}")
+        if not rows:
             raise ValueError("empty data packet")
+        self.src_node = src_node
+        self.page = rows
+        self.lo = 0
+        self.hi = self.n = len(rows)
+        #: Pre-computed hash codes aligned with the rows — Gamma
+        #: computes the hash once at the producer; consumers reuse it
+        #: for hash-table slotting, so the simulation does too.
+        self.hashes = hashes
+        self.payload_bytes = payload_bytes
+        #: Logical bucket this batch belongs to (Grace/Hybrid bucket
+        #: forming), or None for single-stream traffic.
+        self.bucket = bucket
 
     @classmethod
-    def make(cls, src_node: int, rows: typing.Sequence,
-             hashes: typing.Sequence, payload_bytes: int,
+    def make(cls, src_node: int, page: typing.Sequence, lo: int, hi: int,
+             n: int, hashes: typing.Sequence, payload_bytes: int,
              bucket: int | None) -> "DataPacket":
-        """Construct a packet that is valid by construction.
-
-        Routers only ever emit non-empty, length-aligned batches, so
-        the frozen ``__init__``'s per-field ``object.__setattr__``
-        round trip and the ``__post_init__`` re-validation are skipped
-        — this sits on the per-packet hot path.  ``rows``/``hashes``
-        may be any sequence (the router hands over its buffer lists
-        without copying); consumers only ever iterate them.
-        """
-        packet = cls.__new__(cls)
-        # Filling the instance dict directly sidesteps the frozen
-        # __setattr__ guard (which would also reject this assignment).
-        packet.__dict__.update(
-            src_node=src_node, rows=rows, payload_bytes=payload_bytes,
-            hashes=hashes, bucket=bucket)
+        """A packet that is valid by construction (routers only emit
+        non-empty runs with aligned hashes), built without
+        re-validating it — this sits on the per-packet hot path."""
+        packet = object.__new__(cls)
+        packet.src_node = src_node
+        packet.page = page
+        packet.lo = lo
+        packet.hi = hi
+        packet.n = n
+        packet.hashes = hashes
+        packet.payload_bytes = payload_bytes
+        packet.bucket = bucket
         return packet
 
+    @property
+    def rows(self) -> typing.Sequence[Row]:
+        """The packet's rows (a run is cut out of its page)."""
+        page = self.page
+        return page if self.n == len(page) else page[self.lo:self.hi]
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.n
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<DataPacket from {self.src_node} n={self.n} "
+                f"bucket={self.bucket}>")
 
 
 @dataclasses.dataclass(frozen=True)

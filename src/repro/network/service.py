@@ -7,7 +7,8 @@ node — the short-circuit path, which skips the ring but still pays a
 reduced CPU cost on both ends, per §2.2/§4.1), and the message is
 deposited in the destination mailbox.  The receiving operator charges
 its own protocol cost via ``receive_charge`` when it dequeues the
-message.
+message.  ``send`` carries control traffic; data packets take the same
+charges through ``Router.flush_ready``, their one send path.
 
 The service keeps global traffic counters; per-phase deltas are
 snapshotted by the join drivers for the statistics the paper reports
@@ -108,30 +109,29 @@ class NetworkService:
 
     def send(self, src_node: int, dst_node: int, port: str,
              message: Message) -> typing.Generator:
-        """Deliver ``message`` from ``src_node`` to ``(dst_node, port)``.
+        """Deliver control traffic from ``src_node`` to ``(dst_node,
+        port)``.
 
         Generator: run it with ``yield from`` inside the sender's
         process.  Charges the sender's CPU and (for remote traffic)
         the ring; delivery into the mailbox is instantaneous after the
-        wire time, the receiver pays its own cost on dequeue.
+        wire time, the receiver pays its own cost on dequeue.  Data
+        packets have one send path, :meth:`Router.flush_ready
+        <repro.engine.operators.routing.Router.flush_ready>`, and are
+        refused here.
         """
-        local = src_node == dst_node
         mtype = type(message)
         if mtype is DataPacket:
-            self.stats.data_packets += 1
-            self.stats.data_tuples += len(message.rows)
-            self.stats.data_bytes += message.payload_bytes
-            if local:
-                self.stats.data_packets_shortcircuited += 1
-                self.stats.data_tuples_shortcircuited += len(message.rows)
-            payload = message.payload_bytes
-        else:
-            self.stats.control_messages += 1
-            if local:
-                self.stats.control_messages_shortcircuited += 1
-            if mtype is EndOfStream:
-                self.stats.eos_messages += 1
-            payload = getattr(message, "payload_bytes", 64)
+            raise TypeError(
+                "data packets are sent by Router.flush_ready, not "
+                "NetworkService.send")
+        local = src_node == dst_node
+        self.stats.control_messages += 1
+        if local:
+            self.stats.control_messages_shortcircuited += 1
+        if mtype is EndOfStream:
+            self.stats.eos_messages += 1
+        payload = getattr(message, "payload_bytes", 64)
         send_cost = (self.costs.packet_shortcircuit if local
                      else self.costs.packet_protocol_send)
         if mtype is ControlMessage:

@@ -25,11 +25,12 @@ Row = typing.Tuple
 class PagedFile:
     """An append-only tuple file with page accounting.
 
-    Storage is dual-mode: while every batch arriving is a
+    Storage is dual-mode: while every batch arriving is a run of a
     :class:`~repro.catalog.pages.ColumnPage` (the page data plane),
-    the file accumulates the page batches as-is and
-    :attr:`rows` exposes their cached concatenation — a zero-copy-read
-    columnar view whose hash-column cache persists across phases.  The
+    the file keeps the runs as ``[page, lo, hi]`` parts — a run that
+    continues the previous part's run of the same page extends it —
+    and :attr:`rows` exposes their cached concatenation, a columnar
+    view whose hash-column cache persists across phases.  The
     first scalar ``append`` or tuple-list ``extend`` converts the file
     to the classic tuple-list storage (batches always precede scalar
     traffic on the paths that mix them, so conversion happens at most
@@ -59,8 +60,9 @@ class PagedFile:
         self.tuples_per_page = max(1, page_size // tuple_bytes)
         #: Tuple-list storage (None while in columnar mode).
         self._rows_list: typing.Optional[list[Row]] = []
-        #: Columnar batches (None while in tuple-list mode).
-        self._parts: typing.Optional[list[ColumnPage]] = None
+        #: Columnar runs ``[page, lo, hi]`` (None while in tuple-list
+        #: mode).
+        self._parts: typing.Optional[list[list]] = None
         #: Cached concatenation of ``_parts`` — rebuilt lazily after a
         #: write so repeated reads see one stable page object (its
         #: hash-column cache is what bucket joining reuses).
@@ -85,15 +87,20 @@ class PagedFile:
         if concat is None:
             parts = self._parts
             assert parts is not None
-            concat = self._concat = (
-                parts[0] if len(parts) == 1 else ColumnPage.concat(parts))
+            page, lo, hi = parts[0]
+            if len(parts) == 1 and lo == 0 and hi == len(page):
+                concat = page
+            else:
+                concat = ColumnPage.concat(
+                    [page.cut(lo, hi) for page, lo, hi in parts])
+            self._concat = concat
         return concat
 
     def _to_list_mode(self) -> None:
-        """Materialize columnar batches into tuple-list storage."""
+        """Materialize columnar runs into tuple-list storage."""
         merged: list[Row] = []
-        for part in self._parts or ():
-            merged.extend(part)
+        for page, lo, hi in self._parts or ():
+            merged.extend(page.cut(lo, hi))
         self._rows_list = merged
         self._parts = None
         self._concat = None
@@ -119,33 +126,44 @@ class PagedFile:
         return False
 
     def extend(self, rows: typing.Iterable[Row],
-               hashes: typing.Optional[typing.Sequence[int]] = None) -> int:
+               hashes: typing.Optional[typing.Sequence[int]] = None,
+               lo: int = 0, hi: typing.Optional[int] = None) -> int:
         """Append many tuples; returns the number of pages completed.
 
+        With ``hi`` given, only the run ``rows[lo:hi]`` is appended
+        (how packets arrive: a run of their route plan's page).
         ``hashes``, when given, is the parallel list of join-key hash
-        codes for ``rows``; it is retained only when this file was
-        created with a ``hash_tag``.  Any batch arriving without hashes
-        voids the sidecar (all-or-nothing: a partial sidecar could not
-        be reused).
+        codes for the appended rows; it is retained only when this
+        file was created with a ``hash_tag``.  Any batch arriving
+        without hashes voids the sidecar (all-or-nothing: a partial
+        sidecar could not be reused).
         """
         if self.closed:
             raise RuntimeError(f"append to closed file {self.name!r}")
         before = self._count
         if isinstance(rows, ColumnPage):
+            if hi is None:
+                lo, hi = 0, len(rows)
             if self._rows_list is not None and not self._rows_list:
                 # Empty file receiving columnar traffic: go columnar.
                 self._rows_list = None
                 self._parts = []
-            if self._parts is not None:
-                self._parts.append(rows)
+            parts = self._parts
+            if parts is not None:
+                last = parts[-1] if parts else None
+                if last is not None and last[0] is rows and last[2] == lo:
+                    last[2] = hi
+                else:
+                    parts.append([rows, lo, hi])
                 self._concat = None
-                self._count = before + len(rows)
             else:
-                self._rows_list.extend(rows)
-                self._count = before + len(rows)
+                self._rows_list.extend(rows.cut(lo, hi))
+            self._count = before + (hi - lo)
         else:
             if self._rows_list is None:
                 self._to_list_mode()
+            if hi is not None and (lo or hi != len(rows)):
+                rows = rows[lo:hi]
             mine = self._rows_list
             mine.extend(rows)
             self._count = len(mine)

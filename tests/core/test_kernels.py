@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro import hashing
 from repro.core import kernels
 from repro.core.bit_filter import BitFilter, FilterBank
+from repro.catalog.pages import ColumnPage
 from repro.core.hash_table import JoinHashTable
 from repro.engine.operators.routing import Router
+from repro.network.messages import DataPacket
 
 keys_strategy = st.lists(
     st.integers(min_value=-(2**40), max_value=2**40),
@@ -150,20 +152,37 @@ def drain(router: Router) -> list:
 
 
 def leftover_state(router: Router) -> dict:
+    """Partial buffers by ``(dst, bucket)``, a stashed run read back as
+    the ``(rows, hashes)`` lists the scalar fill would hold."""
     state = {(dst, None): buffer
              for dst, buffer in router._buffers0.items()}
     state.update(router._buffers)
-    return state
+    return {key: (buffer if len(buffer) == 2
+                  else (list(buffer[0][buffer[1]:buffer[2]]), buffer[3]))
+            for key, buffer in state.items()}
+
+
+def materialized(entry: tuple) -> tuple:
+    """A ready entry as the packet ``flush_ready`` builds from it, read
+    back: ``(key, rows, hashes, n)``."""
+    (dst, bucket), page, lo, hi, n, hashes = entry
+    packet = DataPacket.make(0, page, lo, hi, n, hashes, 8 * n, bucket)
+    assert len(packet) == n == hi - lo == len(hashes)
+    return (dst, bucket), list(packet.rows), hashes, n
 
 
 @given(keys=keys_strategy, capacity=st.integers(1, 7),
        n_groups=st.integers(1, 5), page_size=st.integers(1, 17),
-       bucketed=st.booleans())
-@settings(max_examples=100, deadline=None)
+       bucketed=st.booleans(), columnar=st.booleans())
+@settings(max_examples=150, deadline=None)
 def test_route_plan_matches_scalar_packet_stream(
-        keys, capacity, n_groups, page_size, bucketed):
+        keys, capacity, n_groups, page_size, bucketed, columnar):
     """The precomputed packet schedule reproduces the scalar router's
-    per-page ready sequence and leftover buffers exactly."""
+    per-page ready sequence and leftover buffers exactly.  From a
+    columnar source every packet is a run of the plan's one gathered
+    page; materialized, each equals the page cut the plan used to
+    build for it and the scalar ``give`` stream's packet — dst, bucket,
+    rows, hashes, count and order."""
     rows = [(k, i) for i, k in enumerate(keys)]
     hashes = [hashing.hash_value(k) for k in keys]
     dst_of_group = [10 + 3 * g for g in range(n_groups)]
@@ -174,8 +193,13 @@ def test_route_plan_matches_scalar_packet_stream(
     vector = make_router(capacity)
     arr = np.asarray(hashes, dtype=np.uint64)
     groups = arr % np.uint64(n_groups)
-    plan = kernels.RoutePlan(vector, rows, arr, groups, None,
+    source = ColumnPage.from_rows(rows, width=2) if columnar else rows
+    plan = kernels.RoutePlan(vector, source, arr, groups, None,
                              dst_of_group, bucket_of_group)
+    # The per-packet pages the plan cut before packets became runs:
+    # the stable destination grouping of the source, gathered.
+    gathered = (source.take(np.argsort(groups, kind="stable"))
+                if columnar else None)
 
     pages = [rows[i:i + page_size]
              for i in range(0, len(rows), page_size)] or [[]]
@@ -189,7 +213,16 @@ def test_route_plan_matches_scalar_packet_stream(
                         else bucket_of_group[g])
             pos += 1
         plan.advance(len(page))
-        assert drain(vector) == drain(scalar)
+        released = drain(vector)
+        expected = drain(scalar)
+        if columnar:
+            for (_key, page_of, lo, hi, _n, _hashes) in released:
+                assert isinstance(page_of, ColumnPage)
+                assert page_of.cut(lo, hi) == gathered.cut(lo, hi)
+        else:
+            assert released == expected
+        assert ([materialized(entry) for entry in released]
+                == [materialized(entry) for entry in expected])
 
     assert leftover_state(vector) == leftover_state(scalar)
     assert vector.tuples_routed == scalar.tuples_routed == len(rows)
@@ -203,8 +236,24 @@ def test_stash_partial_merges_with_scalar_leftover():
     router.give(5, ("b",), 2)
     router.stash_partial(5, None, [("c",), ("d",)], [3, 4])
     ready = drain(router)
-    assert ready == [((5, None), [("a",), ("b",), ("c",)], [1, 2, 3])]
+    assert ready == [((5, None), [("a",), ("b",), ("c",)], 0, 3, 3,
+                      [1, 2, 3])]
     assert leftover_state(router) == {(5, None): ([("d",)], [4])}
+
+
+def test_stash_partial_merges_a_run_with_scalar_leftover():
+    """A stashed columnar tail is a run of its page until a scalar
+    leftover forces the row-wise merge."""
+    page = ColumnPage.from_rows([(10,), (11,), (12,), (13,)])
+    alone = make_router(capacity=3)
+    alone.stash_partial(5, 1, page, [2, 3], 1, 3)
+    assert alone._buffers == {(5, 1): (page, 1, 3, [2, 3])}
+    shared = make_router(capacity=3)
+    shared.give(5, (9,), 1, bucket=1)
+    shared.stash_partial(5, 1, page, [2, 3, 4], 1, 4)
+    assert drain(shared) == [((5, 1), [(9,), (11,), (12,)], 0, 3, 3,
+                              [1, 2, 3])]
+    assert leftover_state(shared) == {(5, 1): ([(13,)], [4])}
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +350,41 @@ def test_probe_page_matches_scalar_probe(build_keys, probe_keys):
 
     assert batch_out == scalar_out
     assert repr(batch_cpu) == repr(scalar_cpu)  # bit-identical float
+
+
+@given(build_keys=st.lists(st.integers(0, 20), min_size=1, max_size=50),
+       probe_keys=st.lists(st.integers(0, 20), min_size=1, max_size=80),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_runs_build_and_probe_as_cut_pages(build_keys, probe_keys, data):
+    """Runs ``(page, lo, hi)`` inserted into and probed against a table
+    give the state, CPU float and result rows of the same runs cut into
+    pages — on the arena and on the scalar chains, since probe runs
+    shorter than ``PROBE_ARENA_MIN_ROWS`` drop the table to chains."""
+    build = ColumnPage.from_rows(
+        [(k, 100 + i) for i, k in enumerate(build_keys)])
+    build_hashes = [k % 7 for k in build_keys]
+    probe = ColumnPage.from_rows(
+        [(i, k) for i, k in enumerate(probe_keys)])
+    probe_hashes = [k % 7 for k in probe_keys]
+
+    def spans(n):
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=6))
+        bounds = sorted({0, n, *cuts})
+        return list(zip(bounds, bounds[1:]))
+
+    by_run = JoinHashTable(len(build_keys))
+    by_cut = JoinHashTable(len(build_keys))
+    for lo, hi in spans(len(build_keys)):
+        by_run.insert_page(build, build_hashes[lo:hi], lo, hi)
+        by_cut.insert_page(build.cut(lo, hi), build_hashes[lo:hi])
+    costs = (11.5e-6, 23.0e-6, 2.5e-6, 17.0e-6)
+    for lo, hi in spans(len(probe_keys)):
+        assert (by_run.probe_batch(probe, probe_hashes[lo:hi], 1, 0,
+                                   *costs, lo)
+                == by_cut.probe_batch(probe.cut(lo, hi),
+                                      probe_hashes[lo:hi], 1, 0, *costs))
+    assert table_state(by_run) == table_state(by_cut)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from repro.engine.operators import (
     scan_pages,
     tempfile_writer,
 )
+from repro.engine.operators.scan import CountRoute
 from repro.network.messages import DataPacket, EndOfStream
 from repro.storage.files import PagedFile
 
@@ -219,6 +220,44 @@ class TestScanPages:
         f2.extend([(4,)])
         pages = list(chain_file_pages([f1, f2]))
         assert [len(p) for p in pages] == [2, 1, 1]
+
+    @given(lengths=st.lists(st.integers(0, 30), max_size=4),
+           per_page=st.integers(1, 8))
+    @settings(max_examples=50, deadline=None)
+    def test_page_scan_sizes_are_the_page_lengths(self, lengths,
+                                                  per_page):
+        files = []
+        for i, n in enumerate(lengths):
+            file = PagedFile(f"f{i}", 8192 // per_page, 8192)
+            file.extend([(j,) for j in range(n)])
+            files.append(file)
+        scan = chain_file_pages(files)
+        assert list(scan.sizes()) == [len(page) for page in scan]
+        rows = [(j,) for j in range(sum(lengths))]
+        scan = fragment_pages(rows, per_page)
+        assert list(scan.sizes()) == [len(page) for page in scan]
+
+    def test_count_route_gets_row_counts(self):
+        """A ``CountRoute`` is handed each page's row count; the scan
+        still reads and charges page by page."""
+        machine = GammaMachine.local(2)
+        node = machine.disk_nodes[0]
+        router = Router(machine, node, machine.disk_nodes, "p", 208)
+        counts = []
+
+        def route_rows(n):
+            counts.append(n)
+            return 0.001 * n
+
+        machine.sim.process(scan_pages(
+            machine, node, fragment_pages([(i,) for i in range(100)], 39),
+            [router], route_page=CountRoute(route_rows)))
+        machine.sim.run()
+        assert counts == [39, 39, 22]
+        assert node.disk.pages_read == 3
+        assert machine.sim.now > 0.1
+        drain_all(machine, 0, "p")
+        drain_all(machine, 1, "p")
 
 
 class TestTempfileWriter:

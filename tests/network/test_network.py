@@ -4,6 +4,7 @@ import pytest
 
 from repro.costs import CostModel
 from repro.engine.machine import GammaMachine
+from repro.engine.operators.routing import Router
 from repro.network.messages import (
     ControlMessage,
     DataPacket,
@@ -91,16 +92,23 @@ class TestTokenRing:
 
 
 class TestSendPath:
-    def packet(self, src):
-        return DataPacket(src_node=src, rows=((1,),),
-                          payload_bytes=208, hashes=(99,))
+    """Data packets take one send path, ``Router.flush_ready``; the
+    network service's ``send`` carries control traffic only."""
+
+    @staticmethod
+    def send_packet(machine, src, dst):
+        """Send one one-tuple data packet from ``src`` to ``dst``."""
+        router = Router(machine, machine.nodes[src], [machine.nodes[dst]],
+                        "p", 208)
+        router.extend_ready([((dst, None), [(1,)], 0, 1, 1, [99])])
+        yield from router.flush_ready()
 
     def test_remote_send_delivers(self):
         machine = GammaMachine.local(2)
         received = []
 
         def sender():
-            yield from machine.network.send(0, 1, "p", self.packet(0))
+            yield from self.send_packet(machine, 0, 1)
 
         def receiver():
             message = yield machine.registry.mailbox(1, "p").get()
@@ -120,7 +128,7 @@ class TestSendPath:
         machine = GammaMachine.local(2)
 
         def sender():
-            yield from machine.network.send(0, 0, "p", self.packet(0))
+            yield from self.send_packet(machine, 0, 0)
             message = yield machine.registry.mailbox(0, "p").get()
             yield from machine.network.receive_charge(0, message)
 
@@ -139,8 +147,8 @@ class TestSendPath:
         machine = GammaMachine.local(2)
 
         def sender():
-            yield from machine.network.send(0, 0, "p", self.packet(0))
-            yield from machine.network.send(0, 1, "p", self.packet(0))
+            yield from self.send_packet(machine, 0, 0)
+            yield from self.send_packet(machine, 0, 1)
 
         machine.sim.process(sender())
         machine.sim.run()
@@ -165,14 +173,14 @@ class TestSendPath:
         machine = GammaMachine.local(2)
 
         def sender():
-            yield from machine.network.send(0, 1, "p", self.packet(0))
+            yield from self.send_packet(machine, 0, 1)
 
         machine.sim.process(sender())
         machine.sim.run()
         before = machine.network.stats.snapshot()
 
         def sender2():
-            yield from machine.network.send(1, 0, "p", self.packet(1))
+            yield from self.send_packet(machine, 1, 0)
 
         machine.sim.process(sender2())
         machine.sim.run()
@@ -181,6 +189,13 @@ class TestSendPath:
         assert delta.data_tuples == 1
         machine.registry.mailbox(1, "p")._items.clear()
         machine.registry.mailbox(0, "p")._items.clear()
+
+    def test_send_refuses_data_packets(self):
+        machine = GammaMachine.local(2)
+        packet = DataPacket(src_node=0, rows=((1,),), payload_bytes=208,
+                            hashes=(99,))
+        with pytest.raises(TypeError, match="flush_ready"):
+            next(machine.network.send(0, 1, "p", packet))
 
 
 class TestTransferCost:
