@@ -123,16 +123,18 @@ class FilesSource(StreamSource):
             file = self.files[0]
             return file.rows, file.stored_hashes(level, family)
         # Files are read back to back, so the concatenation is the scan
-        # order; the sidecar is usable only if every file carries one.
-        parts = [file.rows for file in self.files]
+        # order: one concatenation of every file's runs, cached nowhere
+        # (the scan is the files' last read).  The sidecar is usable
+        # only if every file carries one.
+        runs = [file.runs() for file in self.files]
         rows: typing.Sequence[Row]
-        if parts and all(isinstance(p, ColumnPage) for p in parts):
+        if runs and all(r is not None for r in runs):
             rows = ColumnPage.concat(
-                typing.cast("list[ColumnPage]", parts))
+                [run for file_runs in runs for run in file_runs or ()])
         else:
             merged: list[Row] = []
-            for part in parts:
-                merged.extend(part)
+            for file in self.files:
+                merged.extend(file.rows)
             rows = merged
         stored: list[int] | None = []
         for file in self.files:
@@ -147,6 +149,22 @@ class FilesSource(StreamSource):
     @property
     def n_tuples(self) -> int:
         return sum(f.num_tuples for f in self.files)
+
+
+def take_bucket(nodes: typing.Sequence[Node],
+                files: list[list[PagedFile | None]],
+                bucket: int) -> list[FilesSource]:
+    """Scan sources over bucket ``bucket``'s fragment files
+    (``files[disk][bucket]``), taking the files out of ``files``: the
+    bucket's round then holds the only references, and they are freed
+    once it has read them."""
+    sources = []
+    for node, node_files in zip(nodes, files):
+        file = node_files[bucket]
+        assert file is not None, f"bucket {bucket} taken twice"
+        node_files[bucket] = None
+        sources.append(FilesSource(node, [file]))
+    return sources
 
 
 def relation_sources(driver: "JoinDriver", which: str) -> list[FragmentSource]:
@@ -575,8 +593,12 @@ class HashJoinRound:
     # -- bookkeeping --------------------------------------------------------
 
     def finish(self) -> None:
-        """Fold the round's statistics into the driver."""
+        """Fold the round's statistics into the driver, then drop the
+        hash tables: they have been probed for the last time, and what
+        they hold must not outlive the round while its overflow
+        recursion runs."""
         self.driver.note_table_stats(self.tables)
+        self.tables = []
         if self.bank is not None:
             self.bank.merge_counters_into(self.driver.counters)
 
@@ -632,14 +654,17 @@ def run_round(driver: "JoinDriver",
     stat = driver.phase(f"{label}.build")
     build_port = machine.fresh_port(f"{label}.build")
     ovr_port = build_port + ".Rp"
-    producers = []
-    for source in r_sources:
+
+    def build_producer(source: StreamSource
+                       ) -> tuple[Node, typing.Generator]:
         router = Router(machine, source.node, sites, build_port,
                         driver.inner.schema.tuple_bytes)
-        producers.append((source.node, scan_pages(
+        return (source.node, scan_pages(
             machine, source.node, source.pages(inner_tpp), [router],
             read_from_disk=read_from_disk,
-            route_page=round_.build_route_page(router, source))))
+            route_page=round_.build_route_page(router, source)))
+
+    producers = [build_producer(source) for source in r_sources]
     consumers = [(sites[j], round_.build_consumer(j, build_port,
                                                   len(r_sources)))
                  for j in range(len(sites))]
@@ -664,28 +689,36 @@ def run_round(driver: "JoinDriver",
     store_consumers, store_port = driver.store_writers(
         n_producers=len(sites))
     spool_hosts = sorted({node.node_id for node in round_.host_of})
-    producers = []
-    for source in s_sources:
+
+    def probe_producer(source: StreamSource
+                       ) -> tuple[Node, typing.Generator]:
         probe_router = Router(machine, source.node, sites, probe_port,
                               driver.outer.schema.tuple_bytes)
         spool_router = Router(
             machine, source.node,
             [machine.nodes[h] for h in spool_hosts], ovs_port,
             driver.outer.schema.tuple_bytes)
-        producers.append((source.node, scan_pages(
+        return (source.node, scan_pages(
             machine, source.node, source.pages(outer_tpp),
             [probe_router, spool_router],
             read_from_disk=read_from_disk,
             route_page=round_.probe_route_page(
-                probe_router, spool_router, source))))
+                probe_router, spool_router, source)))
+
+    producers = [probe_producer(source) for source in s_sources]
+    n_outer = len(s_sources)
+    # The round's inputs are read for the last time in this phase: the
+    # scans hold what they still need, so a recursion into the overflow
+    # below does not keep the temp files alive.
+    del r_sources, s_sources
     consumers = []
     for j, site in enumerate(sites):
         store_router = Router(machine, site, driver.disk_nodes,
                               store_port, driver.result_tuple_bytes)
         consumers.append((site, round_.probe_consumer(
-            j, probe_port, len(s_sources), store_router)))
+            j, probe_port, n_outer, store_router)))
     consumers.extend(round_.overflow_writers(
-        ovs_port, "S", n_producers_fn=lambda node: len(s_sources)))
+        ovs_port, "S", n_producers_fn=lambda node: n_outer))
     consumers.extend(store_consumers)
     yield from driver.scheduler.execute_phase(
         f"{label}.probe", producers, consumers,
@@ -706,18 +739,35 @@ def resolve_overflow(driver: "JoinDriver", round_: HashJoinRound,
     """
     pairs = round_.overflow_pairs()
     if not pairs:
+        round_.rprime = round_.sprime = []
         return
-    machine = driver.machine
     driver.overflow_levels = max(driver.overflow_levels, depth + 1)
+    # The sources are built in the call, not held here: the next round
+    # holds the only references and drops them once it has read them.
+    yield from run_round(driver, *_take_overflow(driver, round_, pairs),
+                         round_.level + 1, depth + 1,
+                         f"{label}.ov{depth + 1}")
+
+
+def _take_overflow(driver: "JoinDriver", round_: HashJoinRound,
+                   pairs: list[int]
+                   ) -> tuple[list[StreamSource], list[StreamSource]]:
+    """Move a round's overflow files into the next round's sources.
+
+    One source per host disk node over the paired sites' R' (then S')
+    files, in node order.  The round keeps none of its files (an
+    unpaired one is never read), so each is freed once the round that
+    reads it has scanned it.
+    """
     r_by_node: dict[int, list[PagedFile]] = {}
     s_by_node: dict[int, list[PagedFile]] = {}
     for site in pairs:
         host = round_.host_of[site]
         r_by_node.setdefault(host.node_id, []).append(round_.rprime[site])
         s_by_node.setdefault(host.node_id, []).append(round_.sprime[site])
-    next_r = [FilesSource(machine.nodes[n], files)
-              for n, files in sorted(r_by_node.items())]
-    next_s = [FilesSource(machine.nodes[n], files)
-              for n, files in sorted(s_by_node.items())]
-    yield from run_round(driver, next_r, next_s, round_.level + 1,
-                         depth + 1, f"{label}.ov{depth + 1}")
+    round_.rprime = round_.sprime = []
+    nodes = driver.machine.nodes
+    return ([FilesSource(nodes[n], files)
+             for n, files in sorted(r_by_node.items())],
+            [FilesSource(nodes[n], files)
+             for n, files in sorted(s_by_node.items())])

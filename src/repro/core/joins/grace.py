@@ -30,7 +30,7 @@ import typing
 from repro.core import kernels
 from repro.core.bit_filter import FilterBank
 from repro.core.joins.base import BitFilterPolicy, JoinDriver
-from repro.core.joins.common import FilesSource, run_round
+from repro.core.joins.common import run_round, take_bucket
 from repro.core.planner import BucketPolicy, plan_buckets
 from repro.core.split_table import SplitTable
 from repro.engine.node import Node
@@ -94,10 +94,8 @@ class GraceHashJoin(JoinDriver):
         for bucket in range(plan.num_buckets):
             yield from run_round(
                 self,
-                r_sources=[FilesSource(node, [r_files[d][bucket]])
-                           for d, node in enumerate(self.disk_nodes)],
-                s_sources=[FilesSource(node, [s_files[d][bucket]])
-                           for d, node in enumerate(self.disk_nodes)],
+                r_sources=take_bucket(self.disk_nodes, r_files, bucket),
+                s_sources=take_bucket(self.disk_nodes, s_files, bucket),
                 level=0, depth=0, label=f"grace.b{bucket}")
 
     # ------------------------------------------------------------------
@@ -115,7 +113,7 @@ class GraceHashJoin(JoinDriver):
         tuple_bytes = relation.schema.tuple_bytes
         # Bucket files carry their level-0 hash sidecar so the
         # bucket-joining scans never rehash the key column.
-        files: list[list[PagedFile]] = [
+        files: list[list[PagedFile | None]] = [
             [PagedFile(f"{which}.b{b}.d{d}", tuple_bytes, costs.page_size,
                        hash_tag=(0, self.spec.hash_family))
              for b in range(num_buckets)]

@@ -26,10 +26,10 @@ from repro.core import kernels
 from repro.core.bit_filter import FilterBank
 from repro.core.joins.base import BitFilterPolicy, JoinDriver
 from repro.core.joins.common import (
-    FilesSource,
     HashJoinRound,
     resolve_overflow,
     run_round,
+    take_bucket,
 )
 from repro.core.planner import BucketPolicy, plan_buckets
 from repro.core.split_table import SplitTable
@@ -99,14 +99,13 @@ class HybridHashJoin(JoinDriver):
         round0.finish()
         yield from resolve_overflow(self, round0, depth=0,
                                     label="hybrid.b0")
+        del round0  # bucket 0 is joined: nothing of it is read again
 
         for bucket in range(1, num_buckets):
             yield from run_round(
                 self,
-                r_sources=[FilesSource(node, [r_files[d][bucket]])
-                           for d, node in enumerate(self.disk_nodes)],
-                s_sources=[FilesSource(node, [s_files[d][bucket]])
-                           for d, node in enumerate(self.disk_nodes)],
+                r_sources=take_bucket(self.disk_nodes, r_files, bucket),
+                s_sources=take_bucket(self.disk_nodes, s_files, bucket),
                 level=0, depth=0, label=f"hybrid.b{bucket}")
 
     # ------------------------------------------------------------------

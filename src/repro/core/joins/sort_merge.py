@@ -224,9 +224,12 @@ class SortMergeJoin(JoinDriver):
     # Phase 2/4: parallel local external sorts
     # ------------------------------------------------------------------
 
-    def _sort_all(self, which: str, files: list[PagedFile],
+    def _sort_all(self, which: str, files: list[PagedFile | None],
                   key_index: int) -> typing.Generator:
-        """Sort every site's file in parallel; returns sorted row lists."""
+        """Sort every site's file in parallel; returns sorted row lists.
+
+        Each site takes its file out of ``files`` and drops it once
+        sorted: the sorted rows replace the partition file."""
         stat = self.phase(f"sort-merge.sort{which}")
         memory_per_node = self.aggregate_memory // len(self.disk_nodes)
         sorted_rows: list[typing.Sequence[Row] | None] = (
@@ -236,7 +239,7 @@ class SortMergeJoin(JoinDriver):
         processes = []
         for d, node in enumerate(self.disk_nodes):
             processes.append(self.machine.sim.process(
-                self._sort_node(d, node, files[d], key_index,
+                self._sort_node(d, node, files, key_index,
                                 memory_per_node, sorted_rows,
                                 pass_counts),
                 name=f"sort.{which}.{node.name}"))
@@ -247,10 +250,15 @@ class SortMergeJoin(JoinDriver):
         return [rows if rows is not None else []
                 for rows in sorted_rows]
 
-    def _sort_node(self, index: int, node: Node, file: PagedFile,
-                   key_index: int, memory_bytes: int,
-                   out: list, pass_counts: list[int]) -> typing.Generator:
-        """External merge sort of one site's file (WiSS sort utility)."""
+    def _sort_node(self, index: int, node: Node,
+                   files: list[PagedFile | None], key_index: int,
+                   memory_bytes: int, out: list, pass_counts: list[int]
+                   ) -> typing.Generator:
+        """External merge sort of site ``index``'s file, taken out of
+        ``files`` (WiSS sort utility)."""
+        file = files[index]
+        assert file is not None, f"site {index}'s file sorted twice"
+        files[index] = None
         costs = self.costs
         plan = plan_external_sort(file.num_tuples, file.tuple_bytes,
                                   memory_bytes, costs)
@@ -321,8 +329,9 @@ class SortMergeJoin(JoinDriver):
         once the exhausted side's maximum can no longer match — the
         §4.4 skipped-read effect.
 
-        The merge cursors walk plain Python key-value lists (one
-        column extraction per side) and record each outer page's match
+        The merge cursors walk plain Python key-value lists — the
+        inner's whole key column, the outer's keys one page at a time,
+        as the outer is read — and record each outer page's match
         positions; the page's joined rows are then gathered from both
         sides in one call each and routed as one batch before the
         page's flush, so only the row tuples that actually join are
@@ -339,9 +348,7 @@ class SortMergeJoin(JoinDriver):
         r_keys = (r_rows.column_values(r_key)
                   if isinstance(r_rows, ColumnPage)
                   else [row[r_key] for row in r_rows])
-        s_keys = (s_rows.column_values(s_key)
-                  if isinstance(s_rows, ColumnPage)
-                  else [row[s_key] for row in s_rows])
+        s_columnar = isinstance(s_rows, ColumnPage)
         r_max = r_keys[-1] if r_keys else None
         r_index = 0
         r_pages_read = 0
@@ -358,9 +365,11 @@ class SortMergeJoin(JoinDriver):
             cpu = 0.0
             r_at: list[int] = []
             s_at: list[int] = []
-            for s_i in range(s_start, s_end):
+            s_keys = (s_rows.column_values(s_key, s_start, s_end)
+                      if s_columnar
+                      else [row[s_key] for row in s_rows[s_start:s_end]])
+            for s_i, value in enumerate(s_keys, s_start):
                 s_consumed += 1
-                value = s_keys[s_i]
                 if r_max is None or value > r_max:
                     # Inner exhausted below this value: nothing in the
                     # remainder of S can join — stop reading (§4.4).

@@ -256,11 +256,13 @@ class RoutePlan:
     The schedule is laid out in numpy: packet bounds, completing rows
     and their order come from the gathered row index, and the packet
     hashes from one gather of the column's hash array.  A columnar
-    source is gathered once into one page, and every packet is a run
-    ``(page, lo, hi)`` of it with its count — no per-packet page and
-    no per-row Python object beyond the payload hash ints.  A
-    tuple-list source is cut into per-packet lists, as the scalar fill
-    would build them.
+    source is gathered into one page per destination segment, and
+    every packet is a run ``(page, lo, hi)`` of its segment's page with
+    its count — no per-packet page and no per-row Python object beyond
+    the payload hash ints.  One page per segment means each page ends
+    up in one consumer's file, so freeing that file frees its rows.
+    A tuple-list source is cut into per-packet lists, as the scalar
+    fill would build them.
     """
 
     __slots__ = ("router", "total_rows", "subset_rows", "_done_at",
@@ -292,12 +294,15 @@ class RoutePlan:
             src = order if row_index is None else row_index[order]
             sorted_hashes = hash_arr[src].tolist()
             columnar = isinstance(rows, ColumnPage)
+            starts = seg_starts.tolist()
+            ends = seg_ends.tolist()
             page: typing.Sequence[Row]
             if columnar:
-                # One C-level gather of the whole subset; the packets
-                # are runs of it — no row tuple and no per-packet page
-                # is built on the routing path.
-                page = rows.take(src)
+                # One C-level gather per segment; the segment's packets
+                # are runs of its page — no row tuple and no per-packet
+                # page is built on the routing path.
+                seg_pages = [rows.take(src[a:b])
+                             for a, b in zip(starts, ends)]
             else:
                 page = [rows[i] for i in src.tolist()]
             seg_key = [(dst_of_group[g],
@@ -306,34 +311,39 @@ class RoutePlan:
                        for g in seg_groups.tolist()]
             # Full packets, segment by segment, then ordered by the
             # scan position of their last row (distinct: every row is
-            # in one packet at most).
+            # in one packet at most).  ``at`` is a packet's offset in
+            # its segment, ``lo`` in the whole gathered subset.
             n_full = (seg_ends - seg_starts) // capacity
             seg_of = np.repeat(np.arange(len(n_full)), n_full)
             first = np.cumsum(n_full) - n_full
-            lo = seg_starts[seg_of] + capacity * (
-                np.arange(len(seg_of)) - first[seg_of])
+            at = capacity * (np.arange(len(seg_of)) - first[seg_of])
+            lo = seg_starts[seg_of] + at
             completes = src[lo + (capacity - 1)]
             by_completion = np.argsort(completes)
             done_at = completes[by_completion].tolist()
             lo = lo[by_completion]
-            packets = zip(lo.tolist(), (lo + capacity).tolist(),
+            at = at[by_completion]
+            packets = zip(lo.tolist(), at.tolist(),
                           seg_of[by_completion].tolist())
             if columnar:
-                events = [(seg_key[seg], page, lo_i, hi, capacity,
-                           sorted_hashes[lo_i:hi])
-                          for lo_i, hi, seg in packets]
+                events = [(seg_key[seg], seg_pages[seg], at_i,
+                           at_i + capacity, capacity,
+                           sorted_hashes[lo_i:lo_i + capacity])
+                          for lo_i, at_i, seg in packets]
             else:
-                events = [(seg_key[seg], page[lo_i:hi], 0, capacity,
-                           capacity, sorted_hashes[lo_i:hi])
-                          for lo_i, hi, seg in packets]
+                events = [(seg_key[seg], page[lo_i:lo_i + capacity], 0,
+                           capacity, capacity,
+                           sorted_hashes[lo_i:lo_i + capacity])
+                          for lo_i, _, seg in packets]
             # What is left of each group is its tail.
             tails = (seg_ends - (seg_ends - seg_starts) % capacity).tolist()
-            for (dst, bucket), tail, b in zip(seg_key, tails,
-                                              seg_ends.tolist()):
+            for seg, ((dst, bucket), a, tail, b) in enumerate(
+                    zip(seg_key, starts, tails, ends)):
                 if tail < b:
                     leftovers.append(
-                        (dst, bucket, page, sorted_hashes[tail:b],
-                         tail, b) if columnar
+                        (dst, bucket, seg_pages[seg],
+                         sorted_hashes[tail:b], tail - a, b - a)
+                        if columnar
                         else (dst, bucket, page[tail:b],
                               sorted_hashes[tail:b], 0, None))
         self._done_at = done_at

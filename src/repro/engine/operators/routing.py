@@ -112,6 +112,10 @@ class Router:
         #: path; logically these are the bucket-None entries.
         self._buffers0: dict[int, tuple] = {}
         self._ready: list[_Ready] = []
+        #: Rows given round-robin, modulo one packet per consumer: with
+        #: ``n`` consumers, ``_rr_next % n`` is the next one in rotation
+        #: and ``_rr_next // n`` the rows each buffer held when this lap
+        #: began, so the lap that reaches ``capacity`` fills packets.
         self._rr_next = 0
         self.closed = False
         self.tuples_routed = 0
@@ -282,39 +286,58 @@ class Router:
 
     def give_round_robin(self, row: Row) -> None:
         """Buffer one tuple for the next consumer in rotation (how the
-        root of a query tree feeds result-store operators, §2.2)."""
-        node = self.consumers[self._rr_next]
-        self._rr_next = (self._rr_next + 1) % len(self.consumers)
-        self.give(node.node_id, row, 0)
+        root of a query tree feeds result-store operators, §2.2).
+
+        A router fed round-robin gets no other traffic (the rotation
+        state assumes it: see :meth:`give_round_robin_batch`)."""
+        n_consumers = len(self.consumers)
+        given = self._rr_next
+        self._rr_next = (given + 1) % (n_consumers * self.capacity)
+        self.give(self.consumers[given % n_consumers].node_id, row, 0)
 
     def give_round_robin_batch(self, rows: typing.Sequence[Row]) -> None:
         """:meth:`give_round_robin` over ``rows`` in one call: the same
         rotation, buffer fill, capacity rollover and ready order, with
-        the per-call lookups hoisted out of the row loop."""
+        the per-call lookups hoisted out of the row loop.
+
+        No buffer is measured: the rotation says which rows fill a
+        packet — those given in a buffer's ``capacity``-th lap."""
         if self.closed:
             raise RuntimeError(f"router {self.port!r} already closed")
         consumers = self.consumers
         n_consumers = len(consumers)
-        rr = self._rr_next
+        lap, rr = divmod(self._rr_next, n_consumers)
         capacity = self.capacity
+        filling = lap == capacity - 1
         buffers0 = self._buffers0
         ready = self._ready
         for row in rows:
             dst = consumers[rr].node_id
+            if filling:
+                buffer = buffers0.pop(dst, None)
+                if buffer is None:
+                    brows, bhashes = [row], [0]
+                else:
+                    brows, bhashes = buffer
+                    brows.append(row)
+                    bhashes.append(0)
+                ready.append(((dst, None), brows, 0, capacity, capacity,
+                              bhashes))
+            else:
+                buffer = buffers0.get(dst)
+                if buffer is None:
+                    buffers0[dst] = ([row], [0])
+                else:
+                    buffer[0].append(row)
+                    buffer[1].append(0)
             rr += 1
             if rr == n_consumers:
                 rr = 0
-            buffer = buffers0.get(dst)
-            if buffer is None:
-                buffer = buffers0[dst] = ([], [])
-            brows, bhashes = buffer
-            brows.append(row)
-            bhashes.append(0)
-            if len(brows) >= capacity:
-                del buffers0[dst]
-                ready.append(((dst, None), brows, 0, capacity, capacity,
-                              bhashes))
-        self._rr_next = rr
+                lap += 1
+                if lap == capacity:
+                    lap = 0
+                filling = lap == capacity - 1
+        self._rr_next = lap * n_consumers + rr
         self.tuples_routed += len(rows)
 
     # -- transmission (simulated) --------------------------------------------

@@ -28,9 +28,11 @@ class PagedFile:
     Storage is dual-mode: while every batch arriving is a run of a
     :class:`~repro.catalog.pages.ColumnPage` (the page data plane),
     the file keeps the runs as ``[page, lo, hi]`` parts — a run that
-    continues the previous part's run of the same page extends it —
-    and :attr:`rows` exposes their cached concatenation, a columnar
-    view whose hash-column cache persists across phases.  The
+    continues the previous part's run of the same page extends it.
+    :attr:`rows` concatenates them once and keeps the concatenation as
+    the file's one part, so a file never pins its source pages and its
+    concatenation at once; the page it returns is stable across reads
+    and its hash-column cache persists across phases.  The
     first scalar ``append`` or tuple-list ``extend`` converts the file
     to the classic tuple-list storage (batches always precede scalar
     traffic on the paths that mix them, so conversion happens at most
@@ -63,10 +65,6 @@ class PagedFile:
         #: Columnar runs ``[page, lo, hi]`` (None while in tuple-list
         #: mode).
         self._parts: typing.Optional[list[list]] = None
-        #: Cached concatenation of ``_parts`` — rebuilt lazily after a
-        #: write so repeated reads see one stable page object (its
-        #: hash-column cache is what bucket joining reuses).
-        self._concat: typing.Optional[ColumnPage] = None
         self._count = 0
         self._pages_flushed = 0
         self.closed = False
@@ -83,18 +81,24 @@ class PagedFile:
         """The stored tuples: a list, or a columnar page view."""
         if self._rows_list is not None:
             return self._rows_list
-        concat = self._concat
-        if concat is None:
-            parts = self._parts
-            assert parts is not None
-            page, lo, hi = parts[0]
-            if len(parts) == 1 and lo == 0 and hi == len(page):
-                concat = page
-            else:
-                concat = ColumnPage.concat(
-                    [page.cut(lo, hi) for page, lo, hi in parts])
-            self._concat = concat
+        parts = self._parts
+        assert parts is not None
+        page, lo, hi = parts[0]
+        if len(parts) == 1 and lo == 0 and hi == len(page):
+            return page
+        # The concatenation replaces the runs: the file then holds its
+        # rows once, and the next read returns this same page.
+        concat = ColumnPage.concat(self.runs())
+        self._parts = [[concat, 0, len(concat)]]
         return concat
+
+    def runs(self) -> typing.Optional[list[ColumnPage]]:
+        """The columnar rows as zero-copy cuts of their pages, in file
+        order (what :attr:`rows` concatenates), or None for tuple-list
+        storage."""
+        if self._parts is None:
+            return None
+        return [page.cut(lo, hi) for page, lo, hi in self._parts]
 
     def _to_list_mode(self) -> None:
         """Materialize columnar runs into tuple-list storage."""
@@ -103,7 +107,6 @@ class PagedFile:
             merged.extend(page.cut(lo, hi))
         self._rows_list = merged
         self._parts = None
-        self._concat = None
 
     # -- writing ---------------------------------------------------------
 
@@ -155,7 +158,6 @@ class PagedFile:
                     last[2] = hi
                 else:
                     parts.append([rows, lo, hi])
-                self._concat = None
             else:
                 self._rows_list.extend(rows.cut(lo, hi))
             self._count = before + (hi - lo)

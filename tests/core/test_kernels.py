@@ -179,10 +179,11 @@ def test_route_plan_matches_scalar_packet_stream(
         keys, capacity, n_groups, page_size, bucketed, columnar):
     """The precomputed packet schedule reproduces the scalar router's
     per-page ready sequence and leftover buffers exactly.  From a
-    columnar source every packet is a run of the plan's one gathered
-    page; materialized, each equals the page cut the plan used to
-    build for it and the scalar ``give`` stream's packet — dst, bucket,
-    rows, hashes, count and order."""
+    columnar source every packet is a run of its destination
+    segment's gathered page; materialized, each equals the rows of the
+    whole stable grouping at the packet's absolute position and the
+    scalar ``give`` stream's packet — dst, bucket, rows, hashes, count
+    and order."""
     rows = [(k, i) for i, k in enumerate(keys)]
     hashes = [hashing.hash_value(k) for k in keys]
     dst_of_group = [10 + 3 * g for g in range(n_groups)]
@@ -196,10 +197,14 @@ def test_route_plan_matches_scalar_packet_stream(
     source = ColumnPage.from_rows(rows, width=2) if columnar else rows
     plan = kernels.RoutePlan(vector, source, arr, groups, None,
                              dst_of_group, bucket_of_group)
-    # The per-packet pages the plan cut before packets became runs:
-    # the stable destination grouping of the source, gathered.
+    # The stable destination grouping of the source, gathered whole;
+    # group g's segment starts after every row of a lower group.
     gathered = (source.take(np.argsort(groups, kind="stable"))
                 if columnar else None)
+    seg_start = np.cumsum(np.bincount(groups.astype(np.int64),
+                                      minlength=n_groups)).tolist()
+    seg_start = [0] + seg_start[:-1]
+    seg_page: dict = {}
 
     pages = [rows[i:i + page_size]
              for i in range(0, len(rows), page_size)] or [[]]
@@ -216,9 +221,16 @@ def test_route_plan_matches_scalar_packet_stream(
         released = drain(vector)
         expected = drain(scalar)
         if columnar:
-            for (_key, page_of, lo, hi, _n, _hashes) in released:
+            for ((dst, _bucket), page_of, lo, hi, _n,
+                 _hashes) in released:
                 assert isinstance(page_of, ColumnPage)
-                assert page_of.cut(lo, hi) == gathered.cut(lo, hi)
+                g = (dst - 10) // 3
+                # One page per segment, holding that segment only.
+                assert seg_page.setdefault(g, page_of) is page_of
+                assert len(page_of) == int((groups == g).sum())
+                start = seg_start[g] + lo
+                assert page_of.cut(lo, hi) == gathered.cut(
+                    start, start + hi - lo)
         else:
             assert released == expected
         assert ([materialized(entry) for entry in released]
@@ -226,6 +238,8 @@ def test_route_plan_matches_scalar_packet_stream(
 
     assert leftover_state(vector) == leftover_state(scalar)
     assert vector.tuples_routed == scalar.tuples_routed == len(rows)
+    assert len({id(page_of) for page_of in seg_page.values()}) == len(
+        seg_page)
 
 
 def test_stash_partial_merges_with_scalar_leftover():
