@@ -1,9 +1,13 @@
 """Columnar relation pages: how relations are stored.
 
 A :class:`ColumnPage` stores a batch of tuples column-wise — every
-``int64`` attribute as one row of a single ``(k, n)`` numpy matrix, a
+integer attribute as one row of a single ``(k, n)`` numpy matrix, a
 constant-value marker for the default non-materialized string
-attributes — instead of a list of Python tuples.  The page is a
+attributes — instead of a list of Python tuples.  The matrix is int32
+when every value fits, as the paper's 4-byte Wisconsin integers do,
+and int64 only when one does not (:func:`block_dtype`); a cut, gather
+or sort keeps the width, and values leave a page as Python ints, so
+no consumer sees which width a page has.  The page is a
 faithful ``Sequence[Row]``: ``len``, indexing (including negative
 indices and slices), and iteration all behave exactly like the
 tuple-list it replaces, materializing Python tuples lazily and only
@@ -35,6 +39,15 @@ import numpy as np
 Row = typing.Tuple
 #: numpy arrays are opaque to the type checker (no bundled stubs).
 Array = typing.Any
+
+_INT32 = np.iinfo(np.int32)
+
+
+def block_dtype(lo: int, hi: int) -> type:
+    """The width of a block whose values lie in ``[lo, hi]``: int32
+    when the range fits in it, else int64."""
+    return (np.int32 if _INT32.min <= lo and hi <= _INT32.max
+            else np.int64)
 
 
 class ConstColumn:
@@ -92,10 +105,11 @@ class ColumnPage:
 
     Columns come in three kinds:
 
-    * ``int64`` — integer attributes; the hot kind.  All of a page's
-      integer columns are the rows of one ``(k, n)`` matrix, so each
-      stays a contiguous 1-D array while a slice, gather or
-      concatenation of the page is a single numpy call.
+    * integers — the hot kind.  All of a page's integer columns are
+      the rows of one ``(k, n)`` int32 or int64 matrix (int32 when
+      every value fits), so each stays a contiguous 1-D array while a
+      slice, gather or concatenation of the page is a single numpy
+      call.
     * :class:`ConstColumn` — every row holds the same value.
     * ``list`` — arbitrary per-row objects (materialized strings,
       exotic test rows); a compatibility fallback, never produced by
@@ -107,7 +121,7 @@ class ColumnPage:
     def __init__(self, n: int, block: Array, layout: _Layout,
                  objs: tuple = ()) -> None:
         self._n = n
-        #: (k, n) int64; row r is the tuple position whose
+        #: (k, n) int32 or int64; row r is the tuple position whose
         #: ``layout.kinds`` entry is r.
         self._block = block
         self._layout = layout
@@ -122,7 +136,8 @@ class ColumnPage:
     def from_columns(cls, cols: typing.Sequence, n: int | None = None
                      ) -> "ColumnPage":
         """Build a page from ready-made columns (validated lengths):
-        integer ndarrays, :class:`ConstColumn` markers, or lists."""
+        integer ndarrays, :class:`ConstColumn` markers, or lists.  The
+        block is as narrow as the integer columns' values allow."""
         cols = [col.tolist() if isinstance(col, np.ndarray)
                 and not _fits_block(col) else col for col in cols]
         if n is None:
@@ -147,7 +162,9 @@ class ColumnPage:
             else:
                 kinds.append(None)
                 objs.append(col if isinstance(col, list) else list(col))
-        block = np.empty((len(ints), n), dtype=np.int64)
+        lo = min([int(col.min()) for col in ints if len(col)], default=0)
+        hi = max([int(col.max()) for col in ints if len(col)], default=0)
+        block = np.empty((len(ints), n), dtype=block_dtype(lo, hi))
         for r, col in enumerate(ints):
             block[r] = col
         return cls(n, block, _Layout(kinds), tuple(objs))
@@ -156,14 +173,14 @@ class ColumnPage:
     def from_block(cls, block: Array,
                    tail: typing.Sequence[ConstColumn] = ()
                    ) -> "ColumnPage":
-        """Adopt a ready ``(k, n)`` C-contiguous int64 matrix, without
-        copying, as tuple positions ``0..k-1``, followed by the
+        """Adopt a ready ``(k, n)`` C-contiguous int32 or int64 matrix,
+        without copying, as tuple positions ``0..k-1``, followed by the
         constant columns ``tail`` (the Wisconsin shape)."""
-        if (block.ndim != 2 or block.dtype != np.int64
+        if (block.ndim != 2 or block.dtype not in (np.int32, np.int64)
                 or not block.flags.c_contiguous):
             raise ValueError(
-                "from_block needs a C-contiguous 2-D int64 array, got "
-                f"{block.dtype} with shape {block.shape}")
+                "from_block needs a C-contiguous 2-D int32 or int64 array, "
+                f"got {block.dtype} with shape {block.shape}")
         return cls(block.shape[1], block,
                    _Layout([*range(block.shape[0]), *tail]))
 
@@ -180,7 +197,10 @@ class ColumnPage:
 
     @staticmethod
     def concat(pages: typing.Sequence["ColumnPage"]) -> "ColumnPage":
-        """Concatenate pages row-wise (multi-file scan sources)."""
+        """Concatenate pages row-wise (multi-file scan sources).  Blocks
+        of the same layout concatenate as they are (int32 with int64
+        gives int64); mixed layouts rebuild a block as narrow as its
+        values allow."""
         pages = [p for p in pages if p._n]
         if not pages:
             return ColumnPage.from_columns(())
@@ -289,9 +309,9 @@ class ColumnPage:
         return self._layout.width
 
     def column_array(self, index: int) -> Array | None:
-        """The int64 ndarray of column ``index`` (a contiguous view of
-        the page's matrix), or None when the column is not an integer
-        array (strings, object columns)."""
+        """The integer ndarray of column ``index`` (a contiguous view of
+        the page's int32 or int64 matrix), or None when the column is
+        not an integer array (strings, object columns)."""
         kind = self._layout.kinds[index]
         return self._block[kind] if type(kind) is int else None
 
@@ -386,7 +406,7 @@ def take_rows(rows: typing.Sequence[Row],
 
 
 def _fits_block(col: Array) -> bool:
-    """Can this ndarray column live in the int64 block unchanged?"""
+    """Can this ndarray column live in an integer block unchanged?"""
     return col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64)
 
 

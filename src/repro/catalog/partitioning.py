@@ -116,7 +116,8 @@ class HashPartitioning(PartitioningStrategy):
             return None  # non-integer key column: scalar fallback
         # (v * mult) & MASK in uint64 wraps modulo 2**64, congruent
         # modulo 2**32 to hashing.hash_int for any 64-bit key (the
-        # repro.core.kernels.hash_keys parity argument).
+        # repro.core.kernels.hash_keys parity argument); an int32
+        # column sign-extends to uint64 before the multiply.
         mult = np.uint64(hashing.level_multiplier(0))
         mask = np.uint64(hashing.HASH_MODULUS - 1)
         hashes = (column.astype(np.uint64) * mult) & mask

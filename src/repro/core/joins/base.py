@@ -155,7 +155,8 @@ class JoinResult:
     #: Per-disk-node fragments of the stored result relation (the
     #: round-robin store layout, §2.2) — feed these to
     #: :meth:`as_relation` to chain another join over the result.
-    result_fragments: list[list[Row]]
+    #: Each is its result file's rows, handed over without a copy.
+    result_fragments: list[typing.Sequence[Row]]
     phases: list[PhaseStat]
     network: NetworkStats
     disk_page_reads: int
@@ -320,7 +321,7 @@ class JoinDriver:
             result_tuples=sum(f.num_tuples for f in self._result_files),
             result_rows=(self.result_rows if self.spec.collect_result
                          else None),
-            result_fragments=[list(f.rows) for f in self._result_files],
+            result_fragments=[f.rows for f in self._result_files],
             phases=self.phases,
             network=self.machine.network.stats.snapshot(),
             disk_page_reads=self.machine.disk_page_reads(),

@@ -110,9 +110,11 @@ def hash_keys(keys: typing.Sequence[typing.Any], level: int,
     keys]`` for any integer column whose values fit in 64 bits: uint64
     arithmetic wraps modulo 2**64, which is congruent modulo 2**32 to
     Python's arbitrary-precision result (negative keys wrap to the
-    same residue).  String, mixed-type, boolean, out-of-range and
-    non-integer columns return None — callers fall back to the scalar
-    hasher.
+    same residue).  An int32 column — a narrow page's key column — is
+    widened to uint64 before any arithmetic, sign-extending as int64
+    does, so both widths hash alike.  String, mixed-type, boolean,
+    out-of-range and non-integer columns return None — callers fall
+    back to the scalar hasher.
     """
     if level < 0:
         raise ValueError(f"hash level must be >= 0, got {level}")

@@ -40,7 +40,7 @@ import typing
 
 import numpy as np
 
-from repro.catalog.pages import ColumnPage, ConstColumn
+from repro.catalog.pages import ColumnPage, ConstColumn, block_dtype
 from repro.catalog.schema import Attribute, Schema
 from repro.wisconsin.distributions import (normal_attribute_array,
                                            normal_attribute_values)
@@ -132,14 +132,18 @@ class WisconsinGenerator:
             # generator — no tuple list and no second copy of the
             # relation is ever built.  Every integer is bit-identical
             # to the scalar loop below: the modulo arithmetic is over
-            # the same non-negative int64 values, and the normal column
-            # shares one rng.normal draw with the list variant.
-            block = np.empty((13, n), dtype=np.int64)
+            # the same non-negative values, and the normal column
+            # shares one rng.normal draw with the list variant.  The
+            # block is int32 (the paper's 4-byte integers) unless the
+            # largest value written — max(n, domain) - 1, or 198 for
+            # evenOnePercent — needs int64.
+            dtype = block_dtype(0, max(n - 1, domain - 1, 198))
+            block = np.empty((13, n), dtype=dtype)
             block[12] = normal_attribute_array(
                 n, self._rng, mean=mean, stddev=stddev, domain=domain)
             u1 = block[0]
             u1[:] = unique1
-            block[1] = np.arange(n, dtype=np.int64)
+            block[1] = np.arange(n, dtype=dtype)
             block[10] = u1
             for row, modulus in ((2, 2), (3, 4), (4, 10), (5, 20),
                                  (6, 100), (8, 5)):

@@ -6,7 +6,9 @@ over every column layout the constructors accept: integer columns
 only, the Wisconsin shape (integer prefix + constant suffix),
 constants between integers, per-row object columns, zero rows and
 zero width.  A structural test pins the one-block storage: all integer
-columns of a page and of any slice of it are views of one buffer.
+columns of a page and of any slice of it are views of one buffer.  The
+block's width follows one rule (``block_dtype``): int32 when every
+value fits, else int64, and no operation's result depends on it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.pages import ColumnPage, ConstColumn
+from repro.catalog.pages import ColumnPage, ConstColumn, block_dtype
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+INT32_MIN, INT32_MAX = -2**31, 2**31 - 1
 
 #: Small values (duplicate sort keys, ties broken by later columns)
 #: mixed with the extremes of the int64 range.
@@ -60,6 +63,17 @@ def pages(draw, layout=None, min_rows=0):
     return page, oracle
 
 
+def assert_width_rule(page):
+    """The page's integer columns share one block of the rule's width
+    for the values they hold."""
+    arrays = [page.column_array(j) for j in range(page.width)]
+    values = [v for a in arrays if a is not None for v in a.tolist()]
+    for array in arrays:
+        if array is not None:
+            assert array.dtype == block_dtype(min(values, default=0),
+                                              max(values, default=0))
+
+
 def assert_plain_values(rows):
     for row in rows:
         assert type(row) is tuple
@@ -96,8 +110,8 @@ class TestSequenceModel:
             assert all(type(v) in (int, str) for v in column)
             array = page.column_array(j)
             if array is not None:
-                assert array.dtype == np.int64
                 assert array.tolist() == column
+        assert_width_rule(page)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -263,14 +277,18 @@ class TestOneBlock:
                 assert np.shares_memory(column, page.column_array(j))
 
     def test_from_block_adopts_without_copy(self):
-        block = np.arange(12, dtype=np.int64).reshape(3, 4)
-        page = ColumnPage.from_block(block, (ConstColumn(""),) * 2)
-        assert page[1] == (1, 5, 9, "", "")
-        assert np.shares_memory(page.column_array(2), block)
-        with pytest.raises(ValueError):
-            ColumnPage.from_block(block.T)
-        with pytest.raises(ValueError):
-            ColumnPage.from_block(block.astype(np.int32))
+        for dtype in (np.int32, np.int64):
+            block = np.arange(12, dtype=dtype).reshape(3, 4)
+            page = ColumnPage.from_block(block, (ConstColumn(""),) * 2)
+            assert page[1] == (1, 5, 9, "", "")
+            assert_plain_values([page[1]])
+            assert np.shares_memory(page.column_array(2), block)
+            assert page.column_array(2).dtype == dtype
+            with pytest.raises(ValueError):
+                ColumnPage.from_block(block.T)
+        for other in (np.int16, np.uint64, np.float64):
+            with pytest.raises(ValueError, match="int32 or int64"):
+                ColumnPage.from_block(block.astype(other))
 
     def test_slice_hash_cache_starts_empty(self):
         page = ColumnPage.from_rows([(i, "") for i in range(6)])
@@ -306,7 +324,7 @@ class TestConstruction:
             [np.array([1, 2], dtype=np.int32),
              np.array([2**63, 1], dtype=np.uint64),
              np.array([0.5, 1.5])])
-        assert page.column_array(0).dtype == np.int64
+        assert page.column_array(0).dtype == np.int32
         assert page.column_array(1) is None
         assert list(page) == [(1, 2**63, 0.5), (2, 1, 1.5)]
 
@@ -335,3 +353,76 @@ class TestConstruction:
         assert list(whole) == [(1, ""), (2, ""), (3, "x"), (4, "y"),
                                (5, "z"), (6, "z")]
         assert whole.column_array(0).tolist() == [1, 2, 3, 4, 5, 6]
+
+
+class TestBlockWidth:
+    """int32 when every value fits, else int64 — and nothing a caller
+    reads depends on which."""
+
+    def test_rule_boundaries(self):
+        assert block_dtype(0, 0) is np.int32
+        assert block_dtype(INT32_MIN, INT32_MAX) is np.int32
+        assert block_dtype(0, INT32_MAX + 1) is np.int64
+        assert block_dtype(INT32_MIN - 1, 0) is np.int64
+        assert block_dtype(INT64_MIN, INT64_MAX) is np.int64
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([0, 1, INT32_MAX], np.int32),
+        ([INT32_MIN, -1], np.int32),
+        ([0, INT32_MAX + 1], np.int64),
+        ([INT32_MIN - 1, 5], np.int64),
+    ])
+    def test_from_columns_narrows(self, values, dtype):
+        wide = np.array(values, dtype=np.int64)
+        page = ColumnPage.from_columns([wide, np.arange(len(values)),
+                                        ConstColumn("")])
+        assert page.column_array(0).dtype == dtype
+        assert page.column_array(1).dtype == dtype
+        assert page.column_values(0) == values
+        assert ColumnPage.from_rows(list(page)).column_array(0).dtype \
+            == dtype
+
+    def test_cut_take_keep_the_width(self):
+        page = ColumnPage.from_rows([(i, 2 * i) for i in range(6)])
+        assert page.column_array(0).dtype == np.int32
+        assert page.cut(1, 4).column_array(1).dtype == np.int32
+        assert page.take([5, 0]).column_array(1).dtype == np.int32
+
+    def test_concat_promotes_to_int64(self):
+        narrow = ColumnPage.from_rows([(1, 2, ""), (3, 4, "")])
+        wide = ColumnPage.from_rows([(2**40, 5, ""), (6, -2**40, "")])
+        assert narrow.column_array(0).dtype == np.int32
+        assert wide.column_array(0).dtype == np.int64
+        whole = ColumnPage.concat([narrow, wide])
+        assert whole.column_array(0).dtype == np.int64
+        assert list(whole) == list(narrow) + list(wide)
+        assert whole == [*narrow, *wide]
+        assert_plain_values(list(whole))
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_sort_order_is_width_blind(self, data, tied):
+        width = data.draw(st.integers(1, 4))
+        key = data.draw(st.integers(0, width - 1))
+        n = data.draw(st.integers(2, 20))
+        int32_values = st.one_of(st.integers(-3, 3),
+                                 st.integers(INT32_MIN, INT32_MAX))
+        columns = [data.draw(st.lists(int32_values, min_size=n,
+                                      max_size=n))
+                   for _ in range(width)]
+        keys = data.draw(st.lists(int32_values, min_size=n, max_size=n,
+                                  unique=not tied))
+        if tied:
+            keys[-1] = keys[0]
+        columns[key] = keys
+        narrow = ColumnPage.from_columns(
+            [np.array(col, dtype=np.int64) for col in columns]
+            + [ConstColumn("c")], n=n)
+        assert narrow.column_array(0).dtype == np.int32
+        wide = ColumnPage.from_block(
+            np.array(columns, dtype=np.int64), (ConstColumn("c"),))
+        orders = [page.sort_order(key).tolist() for page in (narrow, wide)]
+        assert orders[0] == orders[1]
+        oracle = [(*row, "c") for row in zip(*columns)]
+        assert [oracle[i] for i in orders[0]] == sorted(
+            oracle, key=lambda row: (row[key], row))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.joins import run_join
+from repro.core.joins import ALGORITHMS, JoinSpec, run_join
 from repro.engine.machine import GammaMachine
 
 
@@ -74,8 +74,19 @@ class TestDiskCounters:
         assert result.disk_page_reads >= expected
 
     def test_result_relation_written(self, tiny_db):
-        result = join(tiny_db, "hybrid", 1.0)
+        driver = ALGORITHMS["hybrid"](
+            GammaMachine.local(4), tiny_db.outer, tiny_db.inner,
+            JoinSpec(inner_attribute="unique1", outer_attribute="unique1",
+                     memory_ratio=1.0))
+        result = driver.run()
         assert result.disk_page_writes > 0
+        # Each fragment is its result file's rows, not a copy of them.
+        for fragment, file in zip(result.result_fragments,
+                                  driver._result_files, strict=True):
+            assert fragment is file.rows
+        relation = result.as_relation(
+            "result", tiny_db.inner.schema.concat(tiny_db.outer.schema))
+        assert relation.cardinality == result.result_tuples > 0
 
     def test_grace_writes_more_than_hybrid(self, tiny_db):
         grace = join(tiny_db, "grace", 1.0)

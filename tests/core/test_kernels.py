@@ -47,6 +47,25 @@ def test_hash_keys_matches_scalar_family(keys, level, family):
     assert arr.tolist() == [scalar(k, level) for k in keys]
 
 
+@given(keys=st.lists(st.one_of(st.integers(-(2**31), 2**31 - 1),
+                               st.integers(2**31 - 3, 2**31 - 1),
+                               st.integers(-(2**31), -(2**31) + 2)),
+                     min_size=1, max_size=100),
+       level=st.integers(0, 4),
+       family=st.sampled_from(["avalanche", "legacy"]))
+@settings(max_examples=100, deadline=None)
+def test_hash_keys_is_width_blind(keys, level, family):
+    """An int32 column (a narrow page's key column) hashes as its
+    int64 widening and as the scalar hasher do."""
+    narrow = kernels.hash_keys(np.array(keys, dtype=np.int32), level,
+                               family)
+    wide = kernels.hash_keys(np.array(keys, dtype=np.int64), level, family)
+    scalar = hashing.HASH_FAMILIES[family]
+    assert narrow.dtype == wide.dtype == np.uint64
+    assert narrow.tolist() == wide.tolist() == [scalar(k, level)
+                                                for k in keys]
+
+
 def test_hash_keys_rejects_unvectorizable_columns():
     assert kernels.hash_keys(["a", "b"], 0) is None
     assert kernels.hash_keys([1, "b"], 0) is None
