@@ -24,9 +24,10 @@ a join-key hash-column cache keyed by ``(key_index, level, family)``
 with the data through routing, spooling, and temp files.
 
 The Wisconsin generator fills pages directly (unless asked for
-materialized strings); tuple lists remain only where a caller hands
-them in (``load_relation`` given a list, join result fragments, the
-scalar fallback), and every consumer accepts either.
+materialized strings), and a join stores its result as pages;
+tuple lists remain only where a caller hands them in
+(``load_relation`` given a list, the scalar fallback), and every
+consumer accepts either.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class _Layout:
     object columns.  Immutable, and shared by reference between a page
     and every slice or gather of it."""
 
-    __slots__ = ("width", "kinds", "consts", "obj_pos", "tail")
+    __slots__ = ("width", "kinds", "consts", "obj_pos", "tail", "joined")
 
     def __init__(self, kinds: typing.Sequence) -> None:
         #: Per tuple position: ``int`` r — row r of the block;
@@ -91,6 +92,20 @@ class _Layout:
             tuple(value for _, value in self.consts)
             if all(type(kind) is int for kind in self.kinds[:first_const])
             else None)
+        #: ``right layout -> layout of (self ++ right)`` rows, so the
+        #: pages :meth:`ColumnPage.hstack` joins share one layout.
+        self.joined: dict = {}
+
+    def join(self, right: "_Layout", k: int) -> "_Layout":
+        """The layout of a row of this layout (``k`` block rows)
+        followed by a row of ``right``, built once per pair."""
+        layout = self.joined.get(right)
+        if layout is None:
+            layout = self.joined[right] = _Layout([
+                *self.kinds,
+                *(kind + k if type(kind) is int else kind
+                  for kind in right.kinds)])
+        return layout
 
     def matches(self, other: "_Layout") -> bool:
         """Same positions of the same kinds, equal constants?"""
@@ -187,33 +202,72 @@ class ColumnPage:
     @classmethod
     def from_rows(cls, rows: typing.Sequence[Row],
                   width: int | None = None) -> "ColumnPage":
-        """Columnarize a tuple list (how tests build a page of given rows)."""
+        """Columnarize a tuple list (how tests build a page of given
+        rows, and how a result file stores the rows a scalar probe
+        built)."""
         rows = rows if isinstance(rows, list) else list(rows)
         if not rows:
             return cls.from_columns([[] for _ in range(width or 0)], n=0)
-        return cls.from_columns(
-            [_build_column([row[j] for row in rows])
-             for j in range(len(rows[0]))], n=len(rows))
+        return cls.from_columns([_build_column(column)
+                                 for column in zip(*rows)], n=len(rows))
+
+    def rows_like(self, rows: typing.Sequence[Row]) -> "ColumnPage":
+        """``rows`` as a page of this page's layout, which they must
+        have — ints at its integer columns, its constants elsewhere, no
+        object column — unchecked: one transpose and one conversion of
+        the integers, with none of :meth:`from_rows`' per-value type
+        tests (half its cost a row).  (A join knows
+        its result rows have the layout of its inputs' pages.)"""
+        if self._objs:
+            raise ValueError("rows_like needs a layout with no object "
+                             "column")
+        n = len(rows)
+        kinds = self._layout.kinds
+        columns: list = list(zip(*rows)) if n else [()] * len(kinds)
+        values = np.array([columns[j] for j, kind in enumerate(kinds)
+                           if type(kind) is int],
+                          dtype=np.int64).reshape(len(self._block), n)
+        dtype = (block_dtype(int(values.min()), int(values.max()))
+                 if values.size else np.int32)
+        return ColumnPage(n, values.astype(dtype, copy=False), self._layout)
+
+    def shaped_like(self, other: "ColumnPage") -> bool:
+        """Do this page's rows have ``other``'s layout, with no object
+        column — so :meth:`rows_like` may take either's rows?"""
+        return (not self._objs and not other._objs
+                and self._layout.matches(other._layout))
 
     @staticmethod
     def concat(pages: typing.Sequence["ColumnPage"]) -> "ColumnPage":
-        """Concatenate pages row-wise (multi-file scan sources).  Blocks
-        of the same layout concatenate as they are (int32 with int64
+        """Concatenate pages row-wise (multi-file scan sources): see
+        :meth:`concat_runs`."""
+        return ColumnPage.concat_runs([(page, 0, page._n)
+                                       for page in pages])
+
+    @staticmethod
+    def concat_runs(runs: typing.Iterable[typing.Sequence]
+                    ) -> "ColumnPage":
+        """The runs ``(page, lo, hi)`` — rows ``page[lo:hi]`` — one
+        after another as one page.  Blocks of the same layout
+        concatenate as slices, with no cut page (int32 with int64
         gives int64); mixed layouts rebuild a block as narrow as its
         values allow."""
-        pages = [p for p in pages if p._n]
-        if not pages:
+        spans = [(page, lo, hi) for page, lo, hi in runs if hi > lo]
+        if not spans:
             return ColumnPage.from_columns(())
-        if len(pages) == 1:
-            return pages[0]
-        first = pages[0]
-        layout = first._layout
-        n = sum([p._n for p in pages])
+        if len(spans) == 1:
+            page, lo, hi = spans[0]
+            return page if hi - lo == page._n else page.cut(lo, hi)
+        layout = spans[0][0]._layout
+        n = sum([hi - lo for _, lo, hi in spans])
         if not layout.obj_pos and all(
-                [layout.matches(p._layout) for p in pages]):
+                [layout.matches(page._layout) for page, _, _ in spans]):
             return ColumnPage(
-                n, np.concatenate([p._block for p in pages], axis=1),
+                n, np.concatenate([page._block[:, lo:hi]
+                                   for page, lo, hi in spans], axis=1),
                 layout)
+        pages = [page.cut(lo, hi) for page, lo, hi in spans]
+        first = pages[0]
         # Layouts differ (constant vs materialized strings, object
         # columns): merge position by position.
         for page in pages:
@@ -237,26 +291,58 @@ class ColumnPage:
                 cols.append(merged)
         return ColumnPage.from_columns(cols, n=n)
 
+    @staticmethod
+    def hstack(left: "ColumnPage", right: "ColumnPage",
+               left_at: Array | None = None,
+               right_at: Array | None = None) -> "ColumnPage":
+        """Row ``i`` is ``left[i] + right[i]`` — or, with positions,
+        ``left[left_at[i]] + right[right_at[i]]``: the join output of
+        two gathers, written into one stacked block with no row tuple
+        (int32 when both blocks are)."""
+        if left_at is not None and (left._objs or right._objs):
+            left, right = left.take(left_at), right.take(right_at)
+            left_at = right_at = None
+        n = left._n if left_at is None else len(left_at)
+        m = right._n if right_at is None else len(right_at)
+        if m != n:
+            raise ValueError(
+                f"cannot stack {m} rows beside {n}")
+        k = len(left._block)
+        block = np.empty((k + len(right._block), n),
+                         dtype=np.result_type(left._block, right._block))
+        for part, source, at in ((block[:k], left._block, left_at),
+                                 (block[k:], right._block, right_at)):
+            if at is None:
+                part[...] = source
+            elif source.dtype == block.dtype:
+                source.take(at, axis=1, out=part)
+            else:
+                part[...] = source.take(at, axis=1)
+        return ColumnPage(n, block, left._layout.join(right._layout, k),
+                          left._objs + right._objs)
+
     # -- Sequence protocol ---------------------------------------------------
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, item):
-        if isinstance(item, slice):
-            start, stop, step = item.indices(self._n)
-            if step != 1:
-                return self.take(list(range(start, stop, step)))
-            return self.cut(start, stop if stop > start else start)
         i = item
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(f"row {item} out of range for {self._n}")
-        values = self._block[:, i].tolist()
+        if type(i) is not int or not 0 <= i < self._n:
+            # The per-row path (a plain index in range) skips all this.
+            if isinstance(item, slice):
+                start, stop, step = item.indices(self._n)
+                if step != 1:
+                    return self.take(list(range(start, stop, step)))
+                return self.cut(start, stop if stop > start else start)
+            if i < 0:
+                i += self._n
+            if not 0 <= i < self._n:
+                raise IndexError(f"row {item} out of range for {self._n}")
         layout = self._layout
         if layout.tail is not None:
-            return tuple(values) + layout.tail
+            return tuple(self._block[:, i].tolist()) + layout.tail
+        values = self._block[:, i].tolist()
         objects = iter(self._objs)
         return tuple([
             values[kind] if type(kind) is int
@@ -410,14 +496,15 @@ def _fits_block(col: Array) -> bool:
     return col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64)
 
 
-def _build_column(values: list):
+def _build_column(values: typing.Sequence):
     """Pick the densest faithful representation for one column."""
-    if all(type(v) is int or isinstance(v, np.integer) for v in values):
+    if all(kind is int or issubclass(kind, np.integer)
+           for kind in set(map(type, values))):
         try:
             return np.array(values, dtype=np.int64)
         except OverflowError:
             return [int(v) for v in values]
     first = values[0]
-    if all(v is first or v == first for v in values):
+    if values.count(first) == len(values):  # ``is``, then ``==``
         return ConstColumn(first)
-    return values
+    return list(values)

@@ -41,9 +41,9 @@ import typing
 
 import numpy as np
 
-from repro.catalog.pages import ColumnPage, take_rows
+from repro.catalog.pages import ColumnPage
 from repro.core import backend
-from repro.hashing import HASH_MODULUS
+from repro.hashing import HASH_MODULUS, code_array, code_list
 
 Row = typing.Tuple
 
@@ -89,19 +89,23 @@ class JoinHashTable:
         self.count = 0
         #: Hash codes >= cutoff overflow; None means no overflow yet.
         self.cutoff: int | None = None
+        #: Hash-value histogram of the chains (arena runs are binned
+        #: when they fold into chains, before make_room consults it).
         self._histogram = [0] * HISTOGRAM_BINS
         # Columnar arena: while every insert arrives as a ColumnPage
         # run (the page data plane), the runs are accumulated as
-        # (page, lo, hi, hashes) — no per-tuple chains — and probing
-        # runs against a lazily built sorted index.  The first scalar
-        # operation (insert / make_room / probe / resident_rows)
-        # materializes the arena into classic chains; ``None`` means
-        # the table is in scalar-chain mode.
-        self._arena: list[tuple[ColumnPage, int, int, list[int]]] | None = []
+        # (page, lo, hi, hashes) — no per-tuple chains, hashes as
+        # the uint64 arrays they arrive as — and probing runs against
+        # a lazily built sorted index.  The first scalar operation
+        # (insert / make_room / probe / resident_rows) materializes
+        # the arena into classic chains; ``None`` means the table is
+        # in scalar-chain mode.
+        self._arena: list[tuple[ColumnPage, int, int, typing.Any]] | None = []
         self._arena_index: dict[int, tuple[int, int]] | None = None
         self._arena_order: typing.Any = None
         self._arena_max_chain = 0
-        self._arena_rows: list | None = None
+        #: The arena gathered into hash order, and its join-key values.
+        self._arena_page: ColumnPage | None = None
         self._arena_keys: list | None = None
         self._arena_key_index: int | None = None
         # Statistics.
@@ -173,22 +177,18 @@ class JoinHashTable:
 
         A :class:`~repro.catalog.pages.ColumnPage` run arriving while
         the table is still in arena mode is retained as a run of its
-        page: only the histogram and counters are updated, and no row
-        tuple is ever materialized unless probing later finds a match.
+        page with its hashes as they came: only the counters are
+        updated, and no row tuple or hash int is ever built unless the
+        table later drops to scalar chains.
         """
         n = len(hashes)
         arena = self._arena
         if arena is not None:
             if isinstance(rows, ColumnPage):
-                arena.append((
-                    rows, lo, lo + n,
-                    hashes if isinstance(hashes, list) else list(hashes)))
+                arena.append((rows, lo, lo + n, hashes))
                 self._arena_index = None
                 self._arena_keys = None
-                self._arena_rows = None
-                histogram = self._histogram
-                for hash_code in hashes:
-                    histogram[hash_code * HISTOGRAM_BINS // HASH_MODULUS] += 1
+                self._arena_page = None
                 self.count += n
                 self.total_inserted += n
                 return
@@ -198,7 +198,7 @@ class JoinHashTable:
         slots = self._slots
         histogram = self._histogram
         max_chain = self.max_chain
-        for row, hash_code in zip(rows, hashes):
+        for row, hash_code in zip(rows, code_list(hashes)):
             chain = slots.get(hash_code)
             if chain is None:
                 slots[hash_code] = [row]
@@ -218,23 +218,25 @@ class JoinHashTable:
     def _materialize(self) -> None:
         """Fold the arena into scalar chains (insertion order kept).
 
-        Counters and the histogram were settled when each batch was
-        admitted, so only the chains and ``max_chain`` remain.  Called
-        at most once, on the first scalar operation — the build
-        protocol only goes scalar once a batch stops fitting, and the
-        scalar path never hands control back to the arena.
+        Counters were settled when each batch was admitted; the chains,
+        ``max_chain`` and the histogram are built here.  Called at most
+        once, on the first scalar operation — the build protocol only
+        goes scalar once a batch stops fitting, and the scalar path
+        never hands control back to the arena.
         """
         parts, self._arena = self._arena, None
         self._arena_index = None
         self._arena_order = None
         self._arena_keys = None
-        self._arena_rows = None
+        self._arena_page = None
         if not parts:
             return
         slots = self._slots
+        histogram = self._histogram
         max_chain = self._max_chain
         for page, lo, hi, page_hashes in parts:
-            for row, hash_code in zip(page.cut(lo, hi), page_hashes):
+            for row, hash_code in zip(page.cut(lo, hi),
+                                      code_list(page_hashes)):
                 chain = slots.get(hash_code)
                 if chain is None:
                     slots[hash_code] = [row]
@@ -244,6 +246,7 @@ class JoinHashTable:
                     chain_length = len(chain)
                 if chain_length > max_chain:
                     max_chain = chain_length
+                histogram[hash_code * HISTOGRAM_BINS // HASH_MODULUS] += 1
         self._max_chain = max_chain
 
     def _arena_groups(self) -> dict[int, tuple[int, int]]:
@@ -258,10 +261,7 @@ class JoinHashTable:
         if index is None:
             parts = self._arena
             assert parts is not None
-            all_hashes: list[int] = []
-            for _page, _lo, _hi, page_hashes in parts:
-                all_hashes.extend(page_hashes)
-            arr = np.asarray(all_hashes, dtype=np.int64)
+            arr = code_array([part[3] for part in parts]).astype(np.int64)
             order, starts, ends, keys, max_chain = \
                 backend.arena_ranges(arr)
             self._arena_max_chain = max_chain
@@ -271,23 +271,23 @@ class JoinHashTable:
             self._arena_order = order
         return index
 
-    def _arena_probe_data(self, inner_key: int) -> tuple[list, list]:
-        """The arena gathered into hash order: its join-key values and
-        its row tuples, both as plain Python lists.  Built once per
-        (arena, key) — bulk iteration over the gathered page is an
-        order of magnitude cheaper per row than per-match indexing,
-        and in a join most resident rows are matched anyway."""
+    def _arena_probe_data(self, inner_key: int
+                          ) -> tuple[list, ColumnPage]:
+        """The arena gathered into hash order: its join-key values as a
+        plain Python list, and the gathered page itself, whose rows a
+        probe gathers by position.  Built once per (arena, key) — the
+        row loop walks the key list, and no row tuple is built."""
         if self._arena_keys is None or self._arena_key_index != inner_key:
             parts = self._arena
             assert parts is not None and parts
-            whole = ColumnPage.concat([page.cut(lo, hi)
-                                       for page, lo, hi, _ in parts])
+            whole = ColumnPage.concat_runs(
+                [(page, lo, hi) for page, lo, hi, _ in parts])
             ordered = whole.take(self._arena_order)
-            self._arena_rows = list(ordered)
+            self._arena_page = ordered
             self._arena_keys = ordered.column_values(inner_key)
             self._arena_key_index = inner_key
-        assert self._arena_rows is not None
-        return self._arena_keys, self._arena_rows
+        assert self._arena_page is not None
+        return self._arena_keys, self._arena_page
 
     # -- overflow ------------------------------------------------------------
 
@@ -314,11 +314,12 @@ class JoinHashTable:
         target = max(1, math.ceil(self.capacity * CLEAR_FRACTION))
         top_bin = (HISTOGRAM_BINS if self.cutoff is None
                    else self._bin(self.cutoff - 1) + 1)
+        histogram = self._histogram
         freed = 0
         bin_index = top_bin
         while bin_index > 0 and freed < target:
             bin_index -= 1
-            freed += self._histogram[bin_index]
+            freed += histogram[bin_index]
         if freed == 0:
             raise JoinOverflowError(
                 "overflow clearing freed no memory: every resident tuple "
@@ -334,7 +335,7 @@ class JoinHashTable:
                 del self._slots[hash_code]
         self.count -= len(evicted)
         for index in range(bin_index, top_bin):
-            self._histogram[index] = 0
+            histogram[index] = 0
         self.cutoff = new_cutoff
         self.overflow_events += 1
         self.tuples_evicted += len(evicted)
@@ -382,7 +383,7 @@ class JoinHashTable:
                     inner_key: int, tuple_receive: float,
                     tuple_probe: float, tuple_chain_link: float,
                     result_move: float, lo: int = 0
-                    ) -> tuple[float, list[Row]]:
+                    ) -> tuple[float, typing.Sequence[Row]]:
         """Probe a whole page — or the run of ``len(hashes)`` rows of it
         starting at row ``lo``: ``(cpu, results)``.
 
@@ -395,10 +396,11 @@ class JoinHashTable:
 
         While the table is in arena mode the probe runs against the
         sorted-range index instead of chains (same charges, same
-        results).  Probe pages under :data:`PROBE_ARENA_MIN_ROWS` rows
-        instead drop the table to scalar chains once and for all — the
-        gather the arena probe amortizes per page never pays for itself
-        on tiny packets.
+        results, as a joined page when the packet is a page).  Probe
+        pages under :data:`PROBE_ARENA_MIN_ROWS` rows instead drop the
+        table to scalar chains once and for all — the gathers the
+        arena probe amortizes per page never pay for themselves on
+        tiny packets — and the chain walk builds result tuples.
         """
         hi = lo + len(hashes)
         if self._arena is not None:
@@ -416,6 +418,7 @@ class JoinHashTable:
                       if isinstance(rows, ColumnPage) else None)
         results: list[Row] = []
         cpu = 0.0
+        hashes = code_list(hashes)
         for i, hash_code in enumerate(hashes):
             cpu += tuple_receive
             chain = slots.get(hash_code)
@@ -443,21 +446,23 @@ class JoinHashTable:
                            inner_key: int, tuple_receive: float,
                            tuple_probe: float, tuple_chain_link: float,
                            result_move: float, lo: int = 0
-                           ) -> tuple[float, list[Row]]:
+                           ) -> tuple[float, typing.Sequence[Row]]:
         """Arena-mode :meth:`probe_batch`: bit-equal charges, the same
         results.  The row loop only records (outer, arena) match
-        positions; the matched outer rows are gathered in one call
-        afterwards, so an outer row that matches nothing is never
-        built."""
+        positions; a page's joined rows are then gathered from the
+        hash-ordered arena page and the packet into one stacked block
+        (:meth:`ColumnPage.hstack`) — no row tuple is built."""
         self.arena_probe_pages += 1
         index = self._arena_groups()
         keys: list | None = None
-        inner_rows: list | None = None
+        arena_page: ColumnPage | None = None
+        columnar = isinstance(rows, ColumnPage)
         out_values = (rows.column_values(outer_key, lo, lo + len(hashes))
-                      if isinstance(rows, ColumnPage) else None)
+                      if columnar else None)
         outer_at: list[int] = []
         inner_at: list[int] = []
         cpu = 0.0
+        hashes = code_list(hashes)
         for i, hash_code in enumerate(hashes):
             cpu += tuple_receive
             group = index.get(hash_code)
@@ -471,7 +476,7 @@ class JoinHashTable:
             else:
                 cpu += tuple_probe + (chain_length - 1) * tuple_chain_link
             if keys is None:
-                keys, inner_rows = self._arena_probe_data(inner_key)
+                keys, arena_page = self._arena_probe_data(inner_key)
             value = (out_values[i] if out_values is not None
                      else rows[lo + i][outer_key])
             for j in range(start, end):
@@ -483,9 +488,12 @@ class JoinHashTable:
             return cpu, []
         if lo:
             outer_at = [lo + i for i in outer_at]
-        assert inner_rows is not None
-        return cpu, [inner_rows[j] + row for j, row in
-                     zip(inner_at, take_rows(rows, outer_at))]
+        assert arena_page is not None
+        if columnar:
+            return cpu, ColumnPage.hstack(arena_page, rows, inner_at,
+                                          outer_at)
+        return cpu, [match + rows[i] for match, i in
+                     zip(arena_page.take(inner_at), outer_at)]
 
     def resident_rows(self) -> typing.Iterator[tuple[Row, int]]:
         """All (row, hash) pairs currently resident (diagnostics)."""

@@ -25,6 +25,7 @@ import dataclasses
 import enum
 import typing
 
+from repro.catalog.pages import ColumnPage
 from repro.catalog.relation import Relation
 from repro.core.hash_table import JoinOverflowError
 from repro.engine.machine import GammaMachine, MachineConfig
@@ -151,11 +152,16 @@ class JoinResult:
     spec: JoinSpec
     response_time: float
     result_tuples: int
+    #: Every result row, built from :attr:`result_fragments` when the
+    #: spec's ``collect_result`` is set (fragment by fragment: compare
+    #: it as a multiset), else None.
     result_rows: list[Row] | None
     #: Per-disk-node fragments of the stored result relation (the
     #: round-robin store layout, §2.2) — feed these to
     #: :meth:`as_relation` to chain another join over the result.
-    #: Each is its result file's rows, handed over without a copy.
+    #: Each is its result file's rows, handed over without a copy: a
+    #: column page (int32 when the values fit), or an empty list for a
+    #: node that stored nothing.
     result_fragments: list[typing.Sequence[Row]]
     phases: list[PhaseStat]
     network: NetworkStats
@@ -203,6 +209,21 @@ class JoinResult:
         if filters:
             parts.append(f"filter dropped {filters}")
         return ", ".join(parts)
+
+
+def _result_like(inner: Relation, outer: Relation) -> ColumnPage | None:
+    """An empty page with the layout of the join's result rows (inner
+    ++ outer), when each relation's rows all live in pages of one
+    layout with no object column; else None."""
+    sides = []
+    for relation in (inner, outer):
+        pages = [fragment for fragment in relation.fragments if fragment]
+        if not pages or not all(isinstance(page, ColumnPage)
+                                and page.shaped_like(pages[0])
+                                for page in pages):
+            return None
+        sides.append(pages[0].cut(0, 0))
+    return ColumnPage.hstack(*sides)
 
 
 class JoinDriver:
@@ -259,10 +280,10 @@ class JoinDriver:
         self.overflow_levels = 0
         self.max_chain = 0
         self.num_buckets: int | None = None
-        self.result_rows: list[Row] = []
+        like = _result_like(inner, outer)
         self._result_files = [
             PagedFile(f"result.{node.name}", self.result_tuple_bytes,
-                      self.costs.page_size)
+                      self.costs.page_size, columnar=True, like=like)
             for node in self.disk_nodes]
         self._ran = False
         self.monitor = machine.monitor
@@ -314,14 +335,16 @@ class JoinDriver:
             raise JoinConfigError(
                 "join has not finished; run the machine to completion "
                 "before collecting")
+        fragments = [f.rows for f in self._result_files]
         result = JoinResult(
             algorithm=self.algorithm,
             spec=self.spec,
             response_time=self._finished_at - self._started_at,
             result_tuples=sum(f.num_tuples for f in self._result_files),
-            result_rows=(self.result_rows if self.spec.collect_result
-                         else None),
-            result_fragments=[f.rows for f in self._result_files],
+            result_rows=([row for fragment in fragments
+                          for row in fragment]
+                         if self.spec.collect_result else None),
+            result_fragments=fragments,
             phases=self.phases,
             network=self.machine.network.stats.snapshot(),
             disk_page_reads=self.machine.disk_page_reads(),
@@ -416,11 +439,9 @@ class JoinDriver:
         port = self.machine.fresh_port("store.result")
         consumers: list[tuple[Node, typing.Generator]] = []
         for node, file in zip(self.disk_nodes, self._result_files):
-            collect = self.result_rows if self.spec.collect_result else None
             consumers.append((node, tempfile_writer(
                 self.machine, node, port, n_producers,
-                select_file=lambda bucket, file=file: file,
-                collect=collect)))
+                select_file=lambda bucket, file=file: file)))
         return consumers, port
 
     def _finish_result_files(self) -> typing.Generator:

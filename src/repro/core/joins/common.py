@@ -38,6 +38,7 @@ from repro.engine.operators.scan import (
     scan_pages,
 )
 from repro.engine.operators.writers import tempfile_writer
+from repro.hashing import code_array, code_list
 from repro.network.messages import (
     DataPacket,
     EndOfStream,
@@ -72,8 +73,9 @@ class StreamSource:
             typing.Sequence[Row] | None, typing.Sequence[int] | None]:
         """(rows, stored_hashes) when the whole feed is materialized
         up front — the precondition for the vectorized data plane.
-        ``stored_hashes`` short-circuits hashing when the rows carry a
-        hash sidecar computed under the same (level, family)."""
+        ``stored_hashes`` (a uint64 array) short-circuits hashing when
+        the rows carry a hash sidecar computed under the same (level,
+        family)."""
         return None, None
 
     @property
@@ -136,15 +138,10 @@ class FilesSource(StreamSource):
             for file in self.files:
                 merged.extend(file.rows)
             rows = merged
-        stored: list[int] | None = []
-        for file in self.files:
-            if stored is not None:
-                hashes = file.stored_hashes(level, family)
-                if hashes is None:
-                    stored = None
-                else:
-                    stored.extend(hashes)
-        return rows, stored
+        stored = [file.stored_hashes(level, family) for file in self.files]
+        if any(hashes is None for hashes in stored):
+            return rows, None
+        return rows, code_array(stored)
 
     @property
     def n_tuples(self) -> int:
@@ -377,7 +374,7 @@ class HashJoinRound:
                 continue
             dataplane.packets_scalar += 1
             cpu = 0.0
-            for row, h in zip(message.rows, message.hashes):
+            for row, h in zip(message.rows, code_list(message.hashes)):
                 cpu += receive_update
                 if bank_set is not None:
                     cpu += filter_set

@@ -333,9 +333,9 @@ class SortMergeJoin(JoinDriver):
         inner's whole key column, the outer's keys one page at a time,
         as the outer is read — and record each outer page's match
         positions; the page's joined rows are then gathered from both
-        sides in one call each and routed as one batch before the
-        page's flush, so only the row tuples that actually join are
-        ever materialized.
+        sides into one joined page (:meth:`ColumnPage.hstack`; tuples
+        only for tuple-list inputs) and routed as one batch before the
+        page's flush, so no row tuple is built.
         """
         costs = self.costs
         disk = node.require_disk()
@@ -349,6 +349,7 @@ class SortMergeJoin(JoinDriver):
                   if isinstance(r_rows, ColumnPage)
                   else [row[r_key] for row in r_rows])
         s_columnar = isinstance(s_rows, ColumnPage)
+        columnar = s_columnar and isinstance(r_rows, ColumnPage)
         r_max = r_keys[-1] if r_keys else None
         r_index = 0
         r_pages_read = 0
@@ -399,8 +400,10 @@ class SortMergeJoin(JoinDriver):
                 cpu += costs.sort_compare
             if r_at:
                 store_router.give_round_robin_batch(
-                    [r + s for r, s in zip(take_rows(r_rows, r_at),
-                                           take_rows(s_rows, s_at))])
+                    ColumnPage.hstack(r_rows, s_rows, r_at, s_at)
+                    if columnar
+                    else [r + s for r, s in zip(take_rows(r_rows, r_at),
+                                                take_rows(s_rows, s_at))])
             yield from node.cpu_use(cpu)
             yield from store_router.flush_ready()
 

@@ -241,6 +241,15 @@ def resolve_column(machine: "GammaMachine",
 # The packet schedule
 # --------------------------------------------------------------------------
 
+#: Packets under this many rows carry their hash codes as an int list
+#: (one ``tolist`` per route plan), larger ones a uint64 view of the
+#: plan's gather.  Small packets' consumers walk them row by row — the
+#: hash table probes packets under its ``PROBE_ARENA_MIN_ROWS`` (also
+#: 32) through its chains — so a per-packet view plus ``tolist`` would
+#: only add to their cost.
+LIST_HASH_ROWS = 32
+
+
 class RoutePlan:
     """A precomputed packet schedule for one (scan, router) pair.
 
@@ -260,11 +269,12 @@ class RoutePlan:
     hashes from one gather of the column's hash array.  A columnar
     source is gathered into one page per destination segment, and
     every packet is a run ``(page, lo, hi)`` of its segment's page with
-    its count — no per-packet page and no per-row Python object beyond
-    the payload hash ints.  One page per segment means each page ends
-    up in one consumer's file, so freeing that file frees its rows.
-    A tuple-list source is cut into per-packet lists, as the scalar
-    fill would build them.
+    its count and a uint64 view of its hash codes — no per-packet page
+    and no per-row Python object.  (Packets under
+    :data:`LIST_HASH_ROWS` rows carry int lists instead.)  One page per
+    segment means each page ends up in one consumer's file, so freeing
+    that file frees its rows.  A tuple-list source is cut into
+    per-packet lists, as the scalar fill would build them.
     """
 
     __slots__ = ("router", "total_rows", "subset_rows", "_done_at",
@@ -294,15 +304,20 @@ class RoutePlan:
                 np.ascontiguousarray(groups, dtype=np.int64),
                 len(dst_of_group))
             src = order if row_index is None else row_index[order]
-            sorted_hashes = hash_arr[src].tolist()
             columnar = isinstance(rows, ColumnPage)
             starts = seg_starts.tolist()
             ends = seg_ends.tolist()
+            # One C-level gather of the hashes, and for a columnar
+            # source one per segment of the rows: the segment's packets
+            # are runs of its page, so no row tuple or per-packet page
+            # is built on the routing path.  A packet's hash codes are
+            # a uint64 view of the gather, or a slice of its one
+            # ``tolist`` (see LIST_HASH_ROWS).
+            sorted_hashes = hash_arr[src]
+            if capacity < LIST_HASH_ROWS:
+                sorted_hashes = sorted_hashes.tolist()
             page: typing.Sequence[Row]
             if columnar:
-                # One C-level gather per segment; the segment's packets
-                # are runs of its page — no row tuple and no per-packet
-                # page is built on the routing path.
                 seg_pages = [rows.take(src[a:b])
                              for a, b in zip(starts, ends)]
             else:

@@ -25,7 +25,11 @@ from __future__ import annotations
 
 import typing
 
+import numpy as np
+
+from repro.catalog.pages import ColumnPage
 from repro.engine.node import Node
+from repro.hashing import code_list
 from repro.network.combining import CombiningTree, engages
 from repro.network.messages import (
     DataPacket,
@@ -42,7 +46,48 @@ _BufferKey = typing.Tuple[int, typing.Optional[int]]
 #: A packet ready to send: ``(key, page, lo, hi, n, hashes)`` — rows
 #: ``page[lo:hi]``, ``n == hi - lo`` of them (see :class:`DataPacket`).
 _Ready = typing.Tuple[_BufferKey, typing.Sequence[Row], int, int, int,
-                      typing.Sequence[int]]
+                      typing.Optional[typing.Sequence[int]]]
+
+
+def _stream(batches: list[typing.Sequence[Row]]) -> typing.Sequence[Row]:
+    """Round-robin batches as one stream: a page when they all are,
+    else a tuple list."""
+    if len(batches) == 1:
+        return batches[0]
+    if all(isinstance(batch, ColumnPage) for batch in batches):
+        return ColumnPage.concat(batches)
+    rows: list[Row] = []
+    for batch in batches:
+        rows.extend(batch)
+    return rows
+
+
+def _deal(stream: typing.Sequence[Row],
+          spans: typing.Sequence[tuple[int, int]], step: int
+          ) -> list[tuple[typing.Sequence[Row], int, int]]:
+    """Per span ``(start, stop)``, the stream's rows ``start, start +
+    step, ...`` below ``stop`` as a run ``(payload, lo, hi)``: of one
+    gathered page for a page stream, a list slice of its own for a
+    tuple list."""
+    runs: list[tuple[typing.Sequence[Row], int, int]] = []
+    if not isinstance(stream, ColumnPage):
+        for a, b in spans:
+            share = stream[a:b:step]
+            runs.append((share, 0, len(share)))
+        return runs
+    if not spans:
+        return runs
+    starts, stops = np.array(spans, dtype=np.intp).T
+    counts = np.maximum(0, -(-(stops - starts) // step))
+    ends = np.cumsum(counts)
+    los = ends - counts
+    # Row j of span k sits at los[k] + j and is stream row starts[k] +
+    # step * j.
+    page = stream.take(np.repeat(starts - step * los, counts)
+                       + step * np.arange(ends[-1]))
+    runs.extend((page, lo, hi) for lo, hi in zip(los.tolist(),
+                                                 ends.tolist()))
+    return runs
 
 
 class StreamGroup:
@@ -104,19 +149,25 @@ class Router:
         self.tuple_bytes = tuple_bytes
         self.capacity = machine.costs.tuples_per_packet(tuple_bytes)
         #: Bucketed buffers, keyed (dst_node_id, bucket): ``(rows,
-        #: hashes)`` lists the give methods fill, or a route plan's
-        #: stashed tail run ``(page, lo, hi, hashes)``.
+        #: hashes)`` lists the give methods fill, or a stashed tail run
+        #: ``(page, lo, hi, hashes)`` (a route plan's, or a consumer's
+        #: share of the open round-robin cycle at close).
         self._buffers: dict[_BufferKey, tuple] = {}
         #: Unbucketed buffers, keyed by the bare dst_node_id — int keys
         #: hash much faster than (dst, None) tuples on the per-tuple
         #: path; logically these are the bucket-None entries.
         self._buffers0: dict[int, tuple] = {}
         self._ready: list[_Ready] = []
-        #: Rows given round-robin, modulo one packet per consumer: with
-        #: ``n`` consumers, ``_rr_next % n`` is the next one in rotation
-        #: and ``_rr_next // n`` the rows each buffer held when this lap
-        #: began, so the lap that reaches ``capacity`` fills packets.
-        self._rr_next = 0
+        #: The round-robin stream's open cycle (one packet per
+        #: consumer): the batches given since it began — pages or tuple
+        #: lists of this router's own, in stream order — their row
+        #: count, and how many consumers' packets of it were sent.
+        self._rr_batches: list[typing.Sequence[Row]] = []
+        self._rr_rows = 0
+        self._rr_sent = 0
+        #: The open cycle's row count at which its next packet
+        #: completes: the last lap's first row completes consumer 0's.
+        self._rr_due = (self.capacity - 1) * len(self.consumers) + 1
         self.closed = False
         self.tuples_routed = 0
         # Send-path constants, hoisted so flush_ready can inline the
@@ -258,7 +309,7 @@ class Router:
         buffer = buffers.get(key)
         if buffer is None:
             buffers[key] = (
-                (rows, hashes) if hi is None
+                (rows, list(code_list(hashes))) if hi is None
                 else (rows, lo, hi, hashes))
             return
         # A buffer already exists (a scalar producer shared this
@@ -267,13 +318,13 @@ class Router:
         # first — append-merging is inherently row-wise.
         if len(buffer) == 4:
             page, blo, bhi, bhashes = buffer
-            brows, bhashes = list(page[blo:bhi]), list(bhashes)
+            brows, bhashes = list(page[blo:bhi]), list(code_list(bhashes))
         else:
             brows, bhashes = buffer
         if hi is not None:
             rows = rows[lo:hi]
         capacity = self.capacity
-        for row, hash_code in zip(rows, hashes):
+        for row, hash_code in zip(rows, code_list(hashes)):
             brows.append(row)
             bhashes.append(hash_code)
             if len(brows) >= capacity:
@@ -284,61 +335,79 @@ class Router:
         if brows:
             buffers[key] = (brows, bhashes)
 
-    def give_round_robin(self, row: Row) -> None:
-        """Buffer one tuple for the next consumer in rotation (how the
-        root of a query tree feeds result-store operators, §2.2).
-
-        A router fed round-robin gets no other traffic (the rotation
-        state assumes it: see :meth:`give_round_robin_batch`)."""
-        n_consumers = len(self.consumers)
-        given = self._rr_next
-        self._rr_next = (given + 1) % (n_consumers * self.capacity)
-        self.give(self.consumers[given % n_consumers].node_id, row, 0)
-
     def give_round_robin_batch(self, rows: typing.Sequence[Row]) -> None:
-        """:meth:`give_round_robin` over ``rows`` in one call: the same
-        rotation, buffer fill, capacity rollover and ready order, with
-        the per-call lookups hoisted out of the row loop.
+        """Deal ``rows`` round-robin to the consumers (how the root of a
+        query tree feeds result-store operators, §2.2): row ``t`` of the
+        router's stream goes to consumer ``t mod C``.
 
-        No buffer is measured: the rotation says which rows fill a
-        packet — those given in a buffer's ``capacity``-th lap."""
+        Dealt by count, with no per-row step: in each cycle of ``C *
+        capacity`` rows, consumer ``c``'s packet completes at its row
+        of the last lap, so packets complete in consumer order, and a
+        packet's rows are a stride-``C`` gather of its cycle.  ``rows``
+        is a page (the columnar probes and the merge) or a tuple list
+        (the scalar chain probe), which the router then owns.  A router
+        fed round-robin gets no other traffic.
+        """
         if self.closed:
             raise RuntimeError(f"router {self.port!r} already closed")
-        consumers = self.consumers
-        n_consumers = len(consumers)
-        lap, rr = divmod(self._rr_next, n_consumers)
+        n = len(rows)
+        self.tuples_routed += n
+        batches = self._rr_batches
+        if type(rows) is list and batches and type(batches[-1]) is list:
+            batches[-1].extend(rows)
+        elif n:
+            batches.append(rows)
+        held = self._rr_rows + n
+        if held < self._rr_due:
+            self._rr_rows = held
+            return
+        n_consumers = len(self.consumers)
         capacity = self.capacity
-        filling = lap == capacity - 1
-        buffers0 = self._buffers0
+        cycle = n_consumers * capacity
+        cycles, rest = divmod(held, cycle)
+        # Consumers whose packet of the (new) open cycle is complete.
+        done = max(0, rest - (cycle - n_consumers))
+        sent = self._rr_sent
+        self._rr_rows = rest
+        self._rr_sent = done
+        self._rr_due = cycle - n_consumers + done + 1
+        stream = _stream(batches)
         ready = self._ready
-        for row in rows:
-            dst = consumers[rr].node_id
-            if filling:
-                buffer = buffers0.pop(dst, None)
-                if buffer is None:
-                    brows, bhashes = [row], [0]
-                else:
-                    brows, bhashes = buffer
-                    brows.append(row)
-                    bhashes.append(0)
-                ready.append(((dst, None), brows, 0, capacity, capacity,
-                              bhashes))
+        consumers = self.consumers
+        if not cycles:
+            # Only the open cycle's last lap was reached: consumers
+            # sent .. done - 1 completed their packets.
+            if type(stream) is list:
+                for c in range(sent, done):
+                    ready.append(((consumers[c].node_id, None),
+                                  stream[c:cycle:n_consumers], 0,
+                                  capacity, capacity, None))
             else:
-                buffer = buffers0.get(dst)
-                if buffer is None:
-                    buffers0[dst] = ([row], [0])
-                else:
-                    buffer[0].append(row)
-                    buffer[1].append(0)
-            rr += 1
-            if rr == n_consumers:
-                rr = 0
-                lap += 1
-                if lap == capacity:
-                    lap = 0
-                filling = lap == capacity - 1
-        self._rr_next = lap * n_consumers + rr
-        self.tuples_routed += len(rows)
+                for c, (payload, lo, hi) in zip(range(sent, done), _deal(
+                        stream, [(c, cycle) for c in range(sent, done)],
+                        n_consumers)):
+                    ready.append(((consumers[c].node_id, None), payload,
+                                  lo, hi, capacity, None))
+            self._rr_batches = [stream]
+            return
+        # Consumer c's packets are those of cycles first(c) .. last(c)
+        # - 1 of the stream: its packet of the first was sent before
+        # when c < sent, and of the open one is complete when c < done.
+        first = [int(c < sent) for c in range(n_consumers)]
+        last = [cycles + (c < done) for c in range(n_consumers)]
+        dealt = [c for c in range(n_consumers) if last[c] > first[c]]
+        runs = dict(zip(dealt, _deal(
+            stream, [(c + cycle * first[c], cycle * last[c])
+                     for c in dealt], n_consumers)))
+        for lap in range(cycles + 1):
+            for c in dealt:
+                if first[c] <= lap < last[c]:
+                    payload, lo, _hi = runs[c]
+                    lo += (lap - first[c]) * capacity
+                    ready.append(((consumers[c].node_id, None), payload,
+                                  lo, lo + capacity, capacity, None))
+        # The open cycle is left: a view of a page, a list of its own.
+        self._rr_batches = [stream[cycle * cycles:]] if rest else []
 
     # -- transmission (simulated) --------------------------------------------
 
@@ -411,6 +480,20 @@ class Router:
         """
         if self.closed:
             raise RuntimeError(f"double close of router {self.port!r}")
+        if self._rr_rows:
+            # The open round-robin cycle: each consumer's share of it,
+            # unless its packet was sent, is its partial packet.
+            n_consumers = len(self.consumers)
+            held = self._rr_rows
+            open_consumers = range(self._rr_sent, min(n_consumers, held))
+            runs = _deal(_stream(self._rr_batches),
+                         [(c, held) for c in open_consumers], n_consumers)
+            for c, (payload, lo, hi) in zip(open_consumers, runs):
+                self._buffers0[self.consumers[c].node_id] = (
+                    payload, lo, hi, None)
+            self._rr_batches = []
+            self._rr_rows = self._rr_sent = 0
+            self._rr_due = (self.capacity - 1) * n_consumers + 1
         # Deterministic order for reproducibility (bucket-None entries
         # of a destination sort before its numbered buckets, exactly as
         # the single-dict (dst, bucket) keying did).  Already-full

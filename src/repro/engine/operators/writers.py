@@ -30,7 +30,6 @@ from repro.storage.files import PagedFile
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.machine import GammaMachine
 
-Row = typing.Tuple
 #: Maps a packet's bucket label to the file it belongs in.
 FileSelector = typing.Callable[[typing.Optional[int]], PagedFile]
 
@@ -66,7 +65,6 @@ BatchHook = typing.Callable[[int, typing.Sequence[int]], float]
 def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
                     n_producers: int, select_file: FileSelector,
                     stats: WriterStats | None = None,
-                    collect: list[Row] | None = None,
                     close_files: typing.Sequence[PagedFile] = (),
                     batch_hook: BatchHook | None = None,
                     ) -> typing.Generator:
@@ -80,9 +78,6 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
         file to append to.
     stats:
         If given, accumulates the local-write statistics.
-    collect:
-        If given, every stored row is also appended here (used by the
-        result store so the harness can verify join output exactly).
     close_files:
         Files to close when the stream ends; their final partial pages
         are charged to this node's disk.
@@ -127,8 +122,6 @@ def tempfile_writer(machine: "GammaMachine", node: Node, port: str,
         file = select_file(message.bucket)
         pages_completed = file.extend(message.page, message.hashes,
                                       message.lo, message.hi)
-        if collect is not None:
-            collect.extend(message.rows)
         if pages_completed:
             yield from disk.write_pages(pages_completed, sequential=True)
             if mon is not None:

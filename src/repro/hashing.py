@@ -29,6 +29,10 @@ HPJA joins into non-HPJA joins (§4.1).
 
 from __future__ import annotations
 
+import typing
+
+import numpy as np
+
 HASH_BITS = 32
 HASH_MODULUS = 1 << HASH_BITS
 _MASK = HASH_MODULUS - 1
@@ -201,6 +205,26 @@ class KeyHashMemo:
             self.hits += 1
         self._entries[(id(rows), key_index, level, family)] = (
             rows, hash_array)
+
+
+def code_array(parts: typing.Sequence[typing.Sequence[int]]) -> typing.Any:
+    """Hash-code parts — uint64 arrays or int lists, in order — as one
+    uint64 array."""
+    if all(type(part) is list for part in parts):
+        flat: list[int] = []
+        for part in parts:
+            flat.extend(part)
+        return np.array(flat, dtype=np.uint64)
+    return np.concatenate([np.asarray(part, dtype=np.uint64)
+                           for part in parts])
+
+
+def code_list(codes: typing.Sequence[int]) -> list[int]:
+    """Hash codes as a list of Python ints, for a row-at-a-time loop:
+    a list as it is, a uint64 code array by one ``tolist()``."""
+    if type(codes) is list:
+        return codes
+    return codes.tolist() if hasattr(codes, "tolist") else list(codes)
 
 
 def remix(hash_code: int) -> int:

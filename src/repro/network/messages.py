@@ -36,9 +36,15 @@ class DataPacket:
     page is cut — a consumer that needs the key column slices it out
     of the page's block, and one that needs whole rows cuts them
     (:attr:`rows`).  A packet the scalar routes fill is a tuple list
-    spanning it all (``lo == 0``, ``hi == n == len(page)``).
-    Consumers read ``n``, ``hashes`` and the run bounds; they may
-    index or slice ``page`` but never mutate it.
+    spanning it all (``lo == 0``, ``hi == n == len(page)``).  A result
+    packet the store router deals is a run of one consumer's gathered
+    share of a round-robin cycle — joined rows as a page, or the
+    scalar chain probe's tuples as a list — and carries no hashes
+    (``hashes`` is None).  ``hashes`` is aligned with the run: a uint64
+    array view, or an int list for packets under
+    :data:`~repro.core.kernels.LIST_HASH_ROWS` rows and the scalar
+    fill.  Consumers read ``n``, ``hashes`` and the run bounds;
+    they may index or slice ``page`` but never mutate it.
 
     A slotted record: routers build one per packet with :meth:`make`,
     which skips the validation the keyword constructor does.
@@ -71,7 +77,8 @@ class DataPacket:
 
     @classmethod
     def make(cls, src_node: int, page: typing.Sequence, lo: int, hi: int,
-             n: int, hashes: typing.Sequence, payload_bytes: int,
+             n: int, hashes: typing.Optional[typing.Sequence],
+             payload_bytes: int,
              bucket: int | None) -> "DataPacket":
         """A packet that is valid by construction (routers only emit
         non-empty runs with aligned hashes), built without

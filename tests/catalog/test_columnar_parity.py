@@ -2,8 +2,8 @@
 
 Relations are stored as :class:`~repro.catalog.pages.ColumnPage`
 fragments, but tuple lists still reach the data path wherever a caller
-produces them (``load_relation`` given a list, join result fragments
-via ``JoinResult.as_relation``, the scalar fallback).  Every row
+produces them (``load_relation`` given a list, the scalar
+fallback).  Every row
 value, every routing decision and every simulated number must be the
 same for both.  These hypothesis properties pin that promise at each
 stage of the data path:

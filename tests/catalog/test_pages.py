@@ -157,6 +157,56 @@ class TestSequenceModel:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
+    def test_hstack(self, data):
+        """Joined rows, stacked whole or gathered by position, equal
+        the tuple concatenations; pairs of layouts share one joined
+        layout."""
+        left, left_rows = data.draw(pages())
+        right, right_rows = data.draw(pages())
+        if left_rows and right_rows:
+            m = data.draw(st.integers(0, 15))
+            left_at = data.draw(st.lists(st.integers(0, len(left_rows) - 1),
+                                         min_size=m, max_size=m))
+            right_at = data.draw(st.lists(
+                st.integers(0, len(right_rows) - 1), min_size=m,
+                max_size=m))
+        else:
+            left_at, right_at = [], []
+        expected = [left_rows[i] + right_rows[j]
+                    for i, j in zip(left_at, right_at)]
+        joined = ColumnPage.hstack(left, right, left_at, right_at)
+        assert joined.width == left.width + right.width
+        assert list(joined) == expected
+        assert_plain_values(list(joined))
+        # A gather keeps its sources' widths, as take does.
+        assert joined._block.dtype == np.result_type(left._block,
+                                                     right._block)
+        taken = ColumnPage.hstack(left.take(left_at), right.take(right_at))
+        assert list(taken) == expected
+        assert taken._layout is joined._layout
+        if len(left_rows) == len(right_rows):
+            assert list(ColumnPage.hstack(left, right)) == [
+                a + b for a, b in zip(left_rows, right_rows)]
+        else:
+            with pytest.raises(ValueError, match="beside"):
+                ColumnPage.hstack(left, right)
+
+    @given(pages())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_like_takes_back_its_rows(self, pair):
+        page, oracle = pair
+        if page._objs:
+            with pytest.raises(ValueError, match="object column"):
+                page.rows_like(oracle)
+            return
+        again = page.rows_like(oracle)
+        assert again == page
+        assert list(again) == oracle
+        assert again._layout is page._layout
+        assert_width_rule(again)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
     def test_concat_same_layout(self, data):
         page, oracle = data.draw(pages())
         n = len(oracle)
@@ -166,6 +216,11 @@ class TestSequenceModel:
         whole = ColumnPage.concat(parts)
         assert list(whole) == oracle
         assert_plain_values(list(whole))
+        # The runs themselves, uncut, concatenate to the same page.
+        runs = ColumnPage.concat_runs(
+            [(page, a, b) for a, b in zip(bounds, bounds[1:])])
+        assert runs == whole and list(runs) == oracle
+        assert runs._block.dtype == whole._block.dtype
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -180,6 +235,10 @@ class TestSequenceModel:
         assert list(whole) == expected
         assert whole == expected
         assert_plain_values(list(whole))
+        tails = ColumnPage.concat_runs(
+            [(page, 1, len(page)) for page, _ in pairs])
+        assert list(tails) == [row for _, oracle in pairs
+                               for row in oracle[1:]]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -318,6 +318,9 @@ class TestArenaProbeColumnPackets:
                                          for k in probe_keys)
 
     def test_only_matched_rows_are_built(self, monkeypatch):
+        """Only matched rows are gathered — the arena's and the
+        packet's — into one joined page: no row of either is ever
+        built as a tuple."""
         from repro.catalog.pages import ColumnPage
         from repro.core.hash_table import PROBE_ARENA_MIN_ROWS
         arena, _chains = self._tables([3, 8, 3], 1)
@@ -326,30 +329,28 @@ class TestArenaProbeColumnPackets:
         hashes = [k % 5 for k in keys]
         page = ColumnPage.from_rows([(i, k) for i, k in enumerate(keys)])
         arena.probe_batch(page, hashes, 1, 0, *self.COSTS)  # warm gather
-        taken: list = []
-        iterated: list = []
-        take = ColumnPage.take
-        iterate = ColumnPage.__iter__
+        stacked: list = []
+        hstack = ColumnPage.hstack
 
-        def counting_take(self, indices):
-            taken.append(list(indices))
-            return take(self, indices)
+        def counting_hstack(left, right, left_at=None, right_at=None):
+            stacked.append((list(left_at), list(right_at)))
+            return hstack(left, right, left_at, right_at)
 
-        def counting_iter(self):
-            iterated.append(len(self))
-            return iterate(self)
+        def built(self, *args):
+            raise AssertionError("row tuple built")
 
-        def indexed(self, item):
-            raise AssertionError("packet row access via __getitem__")
-
-        monkeypatch.setattr(ColumnPage, "take", counting_take)
-        monkeypatch.setattr(ColumnPage, "__iter__", counting_iter)
-        monkeypatch.setattr(ColumnPage, "__getitem__", indexed)
-        _cpu, out = arena.probe_batch(page, hashes, 1, 0, *self.COSTS)
-        assert taken == [[5, 5, 20, 20]]
-        assert iterated == [4]
-        assert out == [(3, 100, 5, 3), (3, 102, 5, 3),
-                       (3, 100, 20, 3), (3, 102, 20, 3)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnPage, "hstack",
+                          staticmethod(counting_hstack))
+            patch.setattr(ColumnPage, "__iter__", built)
+            patch.setattr(ColumnPage, "__getitem__", built)
+            _cpu, out = arena.probe_batch(page, hashes, 1, 0, *self.COSTS)
+        # One hash (3 and 8 collide): insertion order (3, 100), (8, 101),
+        # (3, 102).
+        assert stacked == [([0, 2, 0, 2], [5, 5, 20, 20])]
+        assert isinstance(out, ColumnPage)
+        assert list(out) == [(3, 100, 5, 3), (3, 102, 5, 3),
+                             (3, 100, 20, 3), (3, 102, 20, 3)]
 
 
 class TestProbePageColumnarPacket:

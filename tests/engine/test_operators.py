@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.pages import ColumnPage
 from repro.engine.machine import GammaMachine
 from repro.engine.operators import (
     Router,
@@ -25,6 +26,28 @@ def drain_all(machine, node_id, port):
     while box.pending_items:
         messages.append(box._items.popleft())
     return messages
+
+
+class RowAtATime:
+    """The round-robin oracle: rows given one at a time through
+    ``Router.give``, row ``t`` to consumer ``t mod C`` — the rotation
+    :meth:`Router.give_round_robin_batch` deals by count."""
+
+    def __init__(self, router):
+        self.router = router
+        self.given = 0
+
+    def give(self, row):
+        consumers = self.router.consumers
+        self.router.give(consumers[self.given % len(consumers)].node_id,
+                         row, 0)
+        self.given += 1
+
+
+def ready_rows(router) -> list:
+    """A router's ready packets as ``(key, rows, n)``."""
+    return [(key, list(page[lo:hi]), n)
+            for key, page, lo, hi, n, _hashes in router._ready]
 
 
 class TestRouter:
@@ -86,7 +109,7 @@ class TestRouter:
 
         def body():
             for i in range(6):
-                router.give_round_robin((i,))
+                router.give_round_robin_batch([(i,)])
             yield from router.close()
 
         machine.sim.process(body())
@@ -96,15 +119,18 @@ class TestRouter:
                        if isinstance(m, DataPacket)]
             assert sum(len(p) for p in packets) == 2
 
-    @given(n_consumers=st.integers(1, 9), capacity=st.integers(1, 12),
-           batches=st.lists(st.integers(0, 40), min_size=1, max_size=5),
+    @given(n_consumers=st.integers(1, 9), capacity=st.integers(1, 20),
+           batches=st.lists(st.tuples(st.sampled_from([0, 1, 2, 7, 40]),
+                                      st.booleans()),
+                            min_size=1, max_size=6),
            drain=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_round_robin_batch_matches_row_at_a_time(
             self, n_consumers, capacity, batches, drain):
-        """Consecutive batches — each starting on the partial buffers
-        and rotation point the last one left — reproduce the row-at-a-
-        time router's state exactly."""
+        """Consecutive batches — pages and tuple lists, of no, one or
+        many rows — dealt by count reproduce the row-at-a-time
+        rotation: the same ready packets after every batch, and the
+        same partial packets sent at close."""
         machine = GammaMachine.local(n_consumers)
         src = machine.disk_nodes[0]
         tuple_bytes = machine.costs.packet_size // capacity
@@ -112,20 +138,33 @@ class TestRouter:
             Router(machine, src, machine.disk_nodes, port, tuple_bytes)
             for port in ("single", "batched")]
         assert single.capacity == capacity
+        oracle = RowAtATime(single)
         first = 0
-        for size in batches:
-            rows = [(first + i,) for i in range(size)]
+        for size, as_page in batches:
+            rows = [(first + i, 2 * (first + i), "") for i in range(size)]
             first += size
             for row in rows:
-                single.give_round_robin(row)
-            batched.give_round_robin_batch(rows)
-            assert batched._ready == single._ready
-            assert batched._buffers0 == single._buffers0
-            assert batched._rr_next == single._rr_next
+                oracle.give(row)
+            batched.give_round_robin_batch(
+                ColumnPage.from_rows(rows, width=3) if as_page else rows)
+            assert ready_rows(batched) == ready_rows(single)
             assert batched.tuples_routed == single.tuples_routed
             if drain:
                 single._ready.clear()
                 batched._ready.clear()
+
+        def body():
+            yield from single.close()
+            yield from batched.close()
+
+        machine.sim.process(body())
+        machine.sim.run()
+        for node in range(n_consumers):
+            sent = {port: [list(message.rows)
+                           for message in drain_all(machine, node, port)
+                           if isinstance(message, DataPacket)]
+                    for port in ("single", "batched")}
+            assert sent["batched"] == sent["single"]
 
     def test_round_robin_batch_after_close_rejected(self):
         machine = GammaMachine.local(2)
@@ -261,8 +300,7 @@ class TestScanPages:
 
 
 class TestTempfileWriter:
-    def run_writer(self, machine, rows_by_bucket, stats=None,
-                   collect=None):
+    def run_writer(self, machine, rows_by_bucket, stats=None):
         node = machine.disk_nodes[0]
         src = machine.disk_nodes[1]
         files = {bucket: PagedFile(f"b{bucket}", 208, 8192)
@@ -278,7 +316,7 @@ class TestTempfileWriter:
         writer = tempfile_writer(
             machine, node, "w", 1,
             select_file=lambda bucket: files[bucket],
-            stats=stats, collect=collect,
+            stats=stats,
             close_files=list(files.values()))
         machine.sim.process(writer)
         machine.sim.process(producer())
@@ -308,12 +346,6 @@ class TestTempfileWriter:
         assert stats.tuples_received == 2
         assert stats.tuples_local == 0
         assert stats.local_fraction == 0.0
-
-    def test_collect_gathers_rows(self):
-        machine = GammaMachine.local(2)
-        collected = []
-        self.run_writer(machine, {0: [(7,), (8,)]}, collect=collected)
-        assert collected == [(7,), (8,)]
 
     def test_writer_stats_merge(self):
         a = WriterStats(tuples_received=10, tuples_local=4,

@@ -17,8 +17,8 @@ and the column-page relation storage (``repro.catalog.pages``) make
 the same promise against the same anchors.  Each figure runs twice:
 on the generator's column pages (cell ``-1``) and on the same rows
 loaded as tuple lists (cell ``-0``), the fragments ``load_relation``
-keeps when handed a list and ``JoinResult.as_relation`` produces, so
-the scalar row path stays anchored to the whole figure too.
+keeps when handed a list, so the scalar row path stays anchored to
+the whole figure too.
 The kernel backend's two engines (DESIGN.md §15) are bit-identical
 too: the cells run the engine the host picks, and figure 5 runs once
 more pinned to the numpy fallback.  So are the two event kernels
